@@ -26,11 +26,14 @@ import (
 // benchmark harness (the paper uses 1000; see cmd/repro -runs).
 const benchRuns = 60
 
-// The default suite fans experiment work units out over GOMAXPROCS
-// goroutines (SuiteConfig.Workers = 0); the *Serial benchmark variants pin
-// Workers to 1 so a -bench run records the suite-level speedup. Both paths
-// produce identical results by construction (per-run seeds are derived
-// from run indices, never from scheduling).
+// The default suite fans experiment work units — configurations and
+// campaign batch claims alike — out over GOMAXPROCS goroutines
+// (SuiteConfig.Workers = 0), its only level of host parallelism; the
+// *Serial benchmark variants pin Workers to 1, which makes the whole suite
+// single-goroutine (timing replays are single-shard by default), so a
+// -bench run records the pool's speedup. Both paths produce identical
+// results by construction (per-run seeds are derived from run indices,
+// never from scheduling).
 var (
 	benchSuiteOnce sync.Once
 	benchSuiteVal  *experiments.Suite

@@ -40,9 +40,9 @@ func benchFleet(b *testing.B, nWorkers int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < nWorkers; i++ {
-		// Workers: GOMAXPROCS makes the nested campaign parallelism exactly
-		// one goroutine per shard (see Suite.campaignWorkers), so fleet size
-		// is the only parallelism knob being measured.
+		// A 20-run shard is a single batch claim, so the suite pool runs
+		// its campaign as one unit on one goroutine and fleet size is the
+		// only parallelism knob being measured.
 		s, err := experiments.NewSuite(experiments.SuiteConfig{
 			NNTrainSamples: 60, Workers: runtime.GOMAXPROCS(0),
 		})

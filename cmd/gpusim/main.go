@@ -44,7 +44,7 @@ func run() error {
 	scheduler := flag.String("scheduler", "gto", "warp scheduler: gto or lrr")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event timeline (load in chrome://tracing or Perfetto) to this file")
 	storeDir := flag.String("store-dir", "", "persist run statistics to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = GOMAXPROCS); statistics are byte-identical at any count")
+	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = 1; above 1 opts in to sharded replay, which pays only with idle cores); statistics are byte-identical at any count")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
 	showVersion := flag.Bool("version", false, "print version and exit")

@@ -45,7 +45,7 @@ func run() error {
 	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
 	scale := flag.String("scale", "small", "workload input scale: small, medium, large")
 	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
-	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = GOMAXPROCS); results are identical at any count")
+	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = 1; above 1 opts in to sharded replay, which pays only with idle cores); results are identical at any count")
 	quiet := flag.Bool("quiet", false, "suppress the stderr progress/ETA reporter")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")

@@ -142,8 +142,10 @@ func WithWorkers(n int) Option {
 }
 
 // WithSimShards sets the timing simulator's event-scheduler shard count
-// for every replay (0, the default, means GOMAXPROCS). Replay statistics
-// are byte-identical at any shard count; only wall-clock time changes.
+// for every replay (0, the default, means 1: the suite's worker pool
+// already fills the cores, so sharding pays only for a lone replay with
+// idle cores). Replay statistics are byte-identical at any shard count;
+// only wall-clock time changes.
 func WithSimShards(n int) Option {
 	return func(c *experiments.SuiteConfig) { c.SimShards = n }
 }

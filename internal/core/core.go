@@ -141,9 +141,11 @@ type object struct {
 
 // Plan is a built protection plan bound to one device memory image.
 type Plan struct {
-	scheme  Scheme
-	m       *mem.Memory
-	objects map[int]*object // primary buffer ID → object
+	scheme Scheme
+	m      *mem.Memory
+	// objects is indexed by primary Buffer.ID (dense within a Memory); nil
+	// entries are unprotected buffers.
+	objects []*object
 	// protectedPCs is the load-instruction table content (for reporting).
 	protectedPCs []uint16
 
@@ -171,7 +173,7 @@ func NewPlan(m *mem.Memory, cfg PlanConfig) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %d", int(cfg.Scheme))
 	}
-	p := &Plan{scheme: cfg.Scheme, m: m, objects: make(map[int]*object, len(cfg.Objects))}
+	p := &Plan{scheme: cfg.Scheme, m: m}
 	if cfg.Scheme == None || len(cfg.Objects) == 0 {
 		return p, nil
 	}
@@ -219,6 +221,9 @@ func NewPlan(m *mem.Memory, cfg PlanConfig) (*Plan, error) {
 			}
 			obj.replicas = append(obj.replicas, rep)
 		}
+		for len(p.objects) <= b.ID {
+			p.objects = append(p.objects, nil)
+		}
 		p.objects[b.ID] = obj
 	}
 	return p, nil
@@ -228,7 +233,15 @@ func NewPlan(m *mem.Memory, cfg PlanConfig) (*Plan, error) {
 func (p *Plan) Scheme() Scheme { return p.scheme }
 
 // ProtectedObjects returns how many objects the plan protects.
-func (p *Plan) ProtectedObjects() int { return len(p.objects) }
+func (p *Plan) ProtectedObjects() int {
+	n := 0
+	for _, obj := range p.objects {
+		if obj != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // ProtectedPCs returns the load-instruction table contents (empty when the
 // plan was built without site bindings).
@@ -236,18 +249,26 @@ func (p *Plan) ProtectedPCs() []uint16 { return append([]uint16(nil), p.protecte
 
 // IsProtected reports whether the buffer is covered by the plan.
 func (p *Plan) IsProtected(b *mem.Buffer) bool {
-	_, ok := p.objects[b.ID]
-	return ok
+	return p.object(b.ID) != nil
 }
 
 // Replicas returns the replica buffers of a protected object (nil if
 // unprotected).
 func (p *Plan) Replicas(b *mem.Buffer) []*mem.Buffer {
-	obj, ok := p.objects[b.ID]
-	if !ok {
+	obj := p.object(b.ID)
+	if obj == nil {
 		return nil
 	}
 	return append([]*mem.Buffer(nil), obj.replicas...)
+}
+
+// object returns the protected object whose primary has the given buffer
+// ID, or nil when that buffer is unprotected.
+func (p *Plan) object(id int) *object {
+	if id < 0 || id >= len(p.objects) {
+		return nil
+	}
+	return p.objects[id]
 }
 
 // ForMemory rebinds the plan to a cloned or copy-on-write forked memory
@@ -262,8 +283,11 @@ func (p *Plan) ForMemory(clone *mem.Memory) *Plan {
 // ReadLaneWord implements simt.WordReader: the functional semantics of the
 // protection schemes.
 func (p *Plan) ReadLaneWord(buf *mem.Buffer, addr arch.Addr) (uint32, error) {
-	obj, ok := p.objects[buf.ID]
-	if !ok || p.scheme == None {
+	if p.scheme == None {
+		return p.m.ReadWord(addr), nil
+	}
+	obj := p.object(buf.ID)
+	if obj == nil {
 		return p.m.ReadWord(addr), nil
 	}
 	p.Stats.ProtectedReads++
@@ -293,7 +317,7 @@ func (p *Plan) ReadLaneWord(buf *mem.Buffer, addr arch.Addr) (uint32, error) {
 
 // Copies implements timing.ProtectionPlan.
 func (p *Plan) Copies(_ uint16, bufID int16) int {
-	if _, ok := p.objects[int(bufID)]; !ok {
+	if p.object(int(bufID)) == nil {
 		return 1
 	}
 	return p.scheme.Copies()
@@ -301,8 +325,8 @@ func (p *Plan) Copies(_ uint16, bufID int16) int {
 
 // ReplicaBlock implements timing.ProtectionPlan.
 func (p *Plan) ReplicaBlock(bufID int16, primary arch.BlockAddr, copy int) arch.BlockAddr {
-	obj, ok := p.objects[int(bufID)]
-	if !ok || copy < 1 || copy > len(obj.replicas) {
+	obj := p.object(int(bufID))
+	if obj == nil || copy < 1 || copy > len(obj.replicas) {
 		return primary
 	}
 	return obj.replicas[copy-1].FirstBlock() + (primary - obj.primary.FirstBlock())
@@ -334,12 +358,14 @@ type Cost struct {
 
 // Describe renders a human-readable summary of the plan for CLI reports.
 func (p *Plan) Describe() string {
-	if p.scheme == None || len(p.objects) == 0 {
-		return "baseline (no protection)"
-	}
-	names := make([]string, 0, len(p.objects))
+	var names []string
 	for _, obj := range p.objects {
-		names = append(names, obj.primary.Name)
+		if obj != nil {
+			names = append(names, obj.primary.Name)
+		}
+	}
+	if p.scheme == None || len(names) == 0 {
+		return "baseline (no protection)"
 	}
 	sort.Strings(names)
 	c := p.Cost()
@@ -351,6 +377,9 @@ func (p *Plan) Describe() string {
 func (p *Plan) Cost() Cost {
 	replica := 0
 	for _, obj := range p.objects {
+		if obj == nil {
+			continue
+		}
 		for _, r := range obj.replicas {
 			replica += r.Size
 		}

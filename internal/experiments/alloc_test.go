@@ -17,7 +17,9 @@ import (
 const maxCampaignAllocsPerRun = 5.0
 
 // TestCampaignAllocRegression gates the campaign hot path's per-run heap
-// allocations, on both the unbatched and the batched executor.
+// allocations, on both the unbatched and the batched executor, and on the
+// suite pool (runCampaigns), where every batch claim is its own
+// CampaignRange call and the per-worker rngs must be reused across calls.
 func TestCampaignAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
@@ -36,22 +38,34 @@ func TestCampaignAllocRegression(t *testing.T) {
 	}
 	model := fault.StuckAt{BitsPerWord: 2, Blocks: 1}
 	const runs = 200
-	for _, batch := range []int{1, 8} {
+	for _, tc := range []struct {
+		batch int
+		pool  bool
+	}{{1, false}, {8, false}, {8, true}, {64, true}} {
+		var res fault.Result
 		var rerr error
 		allocs := testing.AllocsPerRun(5, func() {
-			res, err := cp.Campaign(fault.Campaign{Runs: runs, Seed: 7, Workers: 1, Batch: batch}, model, sel)
-			if err != nil {
-				rerr = err
+			c := fault.Campaign{Runs: runs, Seed: 7, Workers: 1, Batch: tc.batch}
+			if !tc.pool {
+				res, rerr = cp.Campaign(c, model, sel)
+				return
 			}
-			if res.Runs != runs {
-				rerr = err
+			var merged []fault.Result
+			merged, rerr = s.runCampaigns("alloc: campaigns", []campaignCell{{
+				cp: cp, model: model, sel: sel, c: c, end: runs, what: "alloc"}})
+			if rerr == nil {
+				res = merged[0]
 			}
 		})
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
+		if res.Runs != runs {
+			t.Fatalf("batch=%d pool=%v ran %d runs, want %d", tc.batch, tc.pool, res.Runs, runs)
+		}
 		if perRun := allocs / runs; perRun > maxCampaignAllocsPerRun {
-			t.Errorf("batch=%d campaign allocates %.2f per run, budget %.1f", batch, perRun, maxCampaignAllocsPerRun)
+			t.Errorf("batch=%d pool=%v campaign allocates %.2f per run, budget %.1f",
+				tc.batch, tc.pool, perRun, maxCampaignAllocsPerRun)
 		}
 	}
 }

@@ -104,32 +104,34 @@ func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 }
 
 // faultModelBreakdown is FaultModelBreakdown's compute path (store miss):
-// each (application, scheme, level) configuration is one task on the
-// suite's worker pool and sweeps every model serially, so cells are
-// assembled in the serial order and output is identical at any worker
-// count. The wrapper has already resolved defaults.
+// a first phase resolves each (application, scheme, level) configuration's
+// checkpoint and uniform selector as one pool task; the campaigns then run
+// as batch-claim units (runCampaigns), and cells are assembled in the
+// serial order, so output is identical at any worker count. The wrapper
+// has already resolved defaults.
 func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error) {
-	type task struct {
+	type config struct {
 		app    string
 		scheme core.Scheme
 		level  int
 	}
-	var tasks []task
+	var configs []config
 	for _, name := range cfg.Apps {
 		base, err := s.App(name)
 		if err != nil {
 			return nil, err
 		}
-		tasks = append(tasks, task{name, core.None, 0})
+		configs = append(configs, config{name, core.None, 0})
 		for _, scheme := range cfg.Schemes {
-			tasks = append(tasks, task{name, scheme, base.HotCount})
+			configs = append(configs, config{name, scheme, base.HotCount})
 		}
 	}
 
-	perTask := make([][]BreakdownCell, len(tasks))
-	err := s.runTasks("breakdown: campaigns", len(tasks), func(i int) error {
-		t := tasks[i]
-		cp, err := s.Checkpoint(t.app, t.scheme, t.level)
+	cps := make([]*Checkpoint, len(configs))
+	sels := make([]fault.Selector, len(configs))
+	err := s.runTasks("breakdown: checkpoints", len(configs), func(i int) error {
+		c := configs[i]
+		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
 		if err != nil {
 			return err
 		}
@@ -145,19 +147,7 @@ func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 		if err != nil {
 			return err
 		}
-		cells := make([]BreakdownCell, 0, len(cfg.Models))
-		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), model, sel)
-			if err != nil {
-				return fmt.Errorf("experiments: breakdown %s %v L%d %v: %w",
-					t.app, t.scheme, t.level, model, err)
-			}
-			cells = append(cells, BreakdownCell{
-				App: t.app, Scheme: t.scheme, Level: t.level,
-				Model: fault.Info(model), Result: res,
-			})
-		}
-		perTask[i] = cells
+		cps[i], sels[i] = cp, sel
 		return nil
 	})
 	if err != nil {
@@ -165,8 +155,23 @@ func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 	}
 
 	var out []BreakdownCell
-	for _, cells := range perTask {
-		out = append(out, cells...)
+	var cells []campaignCell
+	for i, c := range configs {
+		for _, model := range cfg.Models {
+			out = append(out, BreakdownCell{App: c.app, Scheme: c.scheme, Level: c.level, Model: fault.Info(model)})
+			cells = append(cells, campaignCell{
+				cp: cps[i], model: model, sel: sels[i],
+				c: s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), end: cfg.Runs,
+				what: fmt.Sprintf("breakdown %s %v L%d %v", c.app, c.scheme, c.level, model),
+			})
+		}
+	}
+	res, err := s.runCampaigns("breakdown: campaigns", cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i].Result = res[i]
 	}
 	return out, nil
 }

@@ -17,7 +17,7 @@ import (
 const benchCampaignRuns = 100
 
 // benchHotSelector builds the Fig. 6 hot-block selector for an app the
-// same way fig6App does.
+// same way fig6HotVsRest's selector phase does.
 func benchHotSelector(b *testing.B, s *Suite, name string) *fault.SetSelector {
 	b.Helper()
 	app, err := s.App(name)

@@ -135,71 +135,48 @@ func missWeights(app *kernels.App, plan *core.Plan, shards int) ([]arch.BlockAdd
 // fig9Resilience is Fig9Resilience's compute path (store miss): inject
 // faults across the whole application address space (block choice weighted
 // by L1-missed accesses, replicas included) and count SDC outcomes as
-// protection cumulatively covers more data objects under each scheme. Each
-// (application, scheme, level) configuration — plan construction,
-// miss-weighted selector timing run, and its fault campaigns — is one task
-// unit on the suite's worker pool; cells are assembled in the serial sweep
-// order, so output is identical at any worker count. The wrapper has
-// already resolved defaults.
+// protection cumulatively covers more data objects under each scheme. A
+// first phase resolves every (application, scheme, level) configuration's
+// checkpoint and miss-weighted selector (one timing replay each) as one
+// pool task per configuration, so no campaign unit waits on another
+// unit's selector replay; the campaigns then run as batch-claim units
+// (runCampaigns), building the checkpoint's golden run and reference
+// capture on first use. Cells are assembled in the serial sweep order, so
+// output is identical at any worker count. The wrapper has already
+// resolved defaults.
 func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
-	apps := cfg.Apps
-
-	// Phase 1: build every application's baseline checkpoint (the shared
-	// prerequisite of every configuration task: image, golden output, and
-	// golden post-run state). Checkpoint goldens are lazy, so force them
-	// here to keep the golden runs on the parallel prefetch phase.
-	err := s.runTasks("fig9: goldens", len(apps), func(i int) error {
-		cp, err := s.Checkpoint(apps[i], core.None, 0)
-		if err != nil {
-			return err
-		}
-		_, err = cp.Golden()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: enumerate the configuration sweep in serial order.
-	type task struct {
+	type config struct {
 		app    string
 		scheme core.Scheme
 		level  int
 	}
-	var tasks []task
-	for _, name := range apps {
+	var configs []config
+	for _, name := range cfg.Apps {
 		baseApp, err := s.App(name)
 		if err != nil {
 			return nil, err
 		}
-		tasks = append(tasks, task{name, core.None, 0})
+		configs = append(configs, config{name, core.None, 0})
 		for _, scheme := range cfg.Schemes {
 			for _, level := range sortedLevels(baseApp)[1:] {
-				tasks = append(tasks, task{name, scheme, level})
+				configs = append(configs, config{name, scheme, level})
 			}
 		}
 	}
 
-	perTask := make([][]Fig9Cell, len(tasks))
-	err = s.runTasks("fig9: campaigns", len(tasks), func(i int) error {
-		t := tasks[i]
-		cp, err := s.Checkpoint(t.app, t.scheme, t.level)
+	cps := make([]*Checkpoint, len(configs))
+	sels := make([]fault.Selector, len(configs))
+	err := s.runTasks("fig9: selectors", len(configs), func(i int) error {
+		c := configs[i]
+		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
 		if err != nil {
 			return err
 		}
 		sel, err := cp.MissSelector()
 		if err != nil {
-			return fmt.Errorf("experiments: fig9 %s %v L%d: %w", t.app, t.scheme, t.level, err)
+			return fmt.Errorf("experiments: fig9 %s %v L%d: %w", c.app, c.scheme, c.level, err)
 		}
-		cells := make([]Fig9Cell, 0, len(cfg.Models))
-		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), model, sel)
-			if err != nil {
-				return fmt.Errorf("experiments: fig9 %s %v L%d %v: %w", t.app, t.scheme, t.level, model, err)
-			}
-			cells = append(cells, Fig9Cell{App: t.app, Scheme: t.scheme, Level: t.level, Model: fault.Info(model), Result: res})
-		}
-		perTask[i] = cells
+		cps[i], sels[i] = cp, sel
 		return nil
 	})
 	if err != nil {
@@ -207,8 +184,23 @@ func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
 	}
 
 	var out []Fig9Cell
-	for _, cells := range perTask {
-		out = append(out, cells...)
+	var cells []campaignCell
+	for i, c := range configs {
+		for _, model := range cfg.Models {
+			out = append(out, Fig9Cell{App: c.app, Scheme: c.scheme, Level: c.level, Model: fault.Info(model)})
+			cells = append(cells, campaignCell{
+				cp: cps[i], model: model, sel: sels[i],
+				c: s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), end: cfg.Runs,
+				what: fmt.Sprintf("fig9 %s %v L%d %v", c.app, c.scheme, c.level, model),
+			})
+		}
+	}
+	res, err := s.runCampaigns("fig9: campaigns", cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i].Result = res[i]
 	}
 	return out, nil
 }

@@ -250,27 +250,60 @@ type Fig6Cell struct {
 	Result fault.Result
 }
 
-// fig6HotVsRest is Fig6HotVsRest's compute path (store miss): applications
-// fan out over the suite's worker pool; each application's campaigns run
-// its space × model grid in the serial order, so the returned cells match
-// a serial run exactly. The wrapper has already resolved defaults.
+// fig6HotVsRest is Fig6HotVsRest's compute path (store miss). A first
+// phase resolves each application's checkpoint and builds its hot and rest
+// selectors; the campaigns then run as batch-claim units on the suite pool
+// (runCampaigns), and the cells come back in the serial app × space ×
+// model order, so output is identical at any worker count. The wrapper has
+// already resolved defaults.
 func fig6HotVsRest(s *Suite, cfg Fig6Config) ([]Fig6Cell, error) {
 	apps := cfg.Apps
-	perApp := make([][]Fig6Cell, len(apps))
-	err := s.runTasks("fig6: campaigns", len(apps), func(i int) error {
-		cells, err := fig6App(s, cfg, apps[i])
+	spaces := []string{"hot", "rest"}
+	cps := make([]*Checkpoint, len(apps))
+	sels := make([][]fault.Selector, len(apps))
+	err := s.runTasks("fig6: selectors", len(apps), func(i int) error {
+		cp, err := s.Checkpoint(apps[i], core.None, 0)
 		if err != nil {
 			return err
 		}
-		perApp[i] = cells
+		cps[i] = cp
+		for _, space := range spaces {
+			blocks, err := s.spaceBlocks(apps[i], space)
+			if err != nil {
+				return err
+			}
+			sel, err := fault.NewSetSelector(blocks)
+			if err != nil {
+				return fmt.Errorf("experiments: fig6 %s/%s: %w", apps[i], space, err)
+			}
+			sels[i] = append(sels[i], sel)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+
 	var out []Fig6Cell
-	for _, cells := range perApp {
-		out = append(out, cells...)
+	var cells []campaignCell
+	for i, name := range apps {
+		for j, space := range spaces {
+			for _, model := range cfg.Models {
+				out = append(out, Fig6Cell{App: name, Space: space, Model: fault.Info(model)})
+				cells = append(cells, campaignCell{
+					cp: cps[i], model: model, sel: sels[i][j],
+					c: s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), end: cfg.Runs,
+					what: fmt.Sprintf("fig6 %s/%s/%v", name, space, model),
+				})
+			}
+		}
+	}
+	res, err := s.runCampaigns("fig6: campaigns", cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i].Result = res[i]
 	}
 	return out, nil
 }
@@ -303,46 +336,4 @@ func (s *Suite) spaceBlocks(name, space string) ([]arch.BlockAddr, error) {
 		return nil, fmt.Errorf("experiments: %s has no %s blocks", name, space)
 	}
 	return blocks, nil
-}
-
-// fig6App runs one application's hot and rest campaigns across every fault
-// model.
-func fig6App(s *Suite, cfg Fig6Config, name string) ([]Fig6Cell, error) {
-	cp, err := s.Checkpoint(name, core.None, 0)
-	if err != nil {
-		return nil, err
-	}
-	hotBlocks, err := s.spaceBlocks(name, "hot")
-	if err != nil {
-		return nil, err
-	}
-	restBlocks, err := s.spaceBlocks(name, "rest")
-	if err != nil {
-		return nil, err
-	}
-	spaces := []struct {
-		label  string
-		blocks []arch.BlockAddr
-	}{
-		{"hot", hotBlocks},
-		{"rest", restBlocks},
-	}
-	var out []Fig6Cell
-	for _, sp := range spaces {
-		if len(sp.blocks) == 0 {
-			return nil, fmt.Errorf("experiments: %s has no %s blocks", name, sp.label)
-		}
-		sel, err := fault.NewSetSelector(sp.blocks)
-		if err != nil {
-			return nil, err
-		}
-		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), model, sel)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig6 %s/%s/%v: %w", name, sp.label, model, err)
-			}
-			out = append(out, Fig6Cell{App: name, Space: sp.label, Model: fault.Info(model), Result: res})
-		}
-	}
-	return out, nil
 }

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"github.com/datacentric-gpu/dcrm/internal/arch"
+	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
+	"github.com/datacentric-gpu/dcrm/internal/fleet"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
@@ -112,6 +116,148 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f9s, f9p) {
 		t.Error("Fig9: parallel results differ from serial")
+	}
+
+	multiClaimParity(t, serial, parallel)
+}
+
+// unsplitCampaign runs one cell's campaign the way a lone caller would:
+// one fault.Campaign over [0, runs) with its own nested workers, no unit
+// split. The multi-claim parity test compares runCampaigns' merged units
+// against it.
+func unsplitCampaign(t *testing.T, s *Suite, app string, scheme core.Scheme, level int,
+	sel func(*Checkpoint) (fault.Selector, error), model fault.Model, runs int, seed int64, batch int) fault.Result {
+	t.Helper()
+	cp, err := s.Checkpoint(app, scheme, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := sel(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cp.Campaign(fault.Campaign{Runs: runs, Seed: seed, Workers: 8, Batch: batch}, model, sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// multiClaimParity is TestParallelMatchesSerial for campaigns of several
+// batch claims (Runs > Batch), the case where runCampaigns splits one cell
+// into units that different pool workers execute: Fig. 6, Fig. 9, the
+// breakdown and a RunShard range spanning several units must agree at
+// Workers 1 and 8, and every merged cell must equal the same campaign run
+// unsplit.
+func multiClaimParity(t *testing.T, serial, parallel *Suite) {
+	t.Helper()
+	const runs, batch = 40, 8 // five claims per cell
+	models := []fault.Model{fault.StuckAt{BitsPerWord: 2, Blocks: 1}, fault.StuckAt{BitsPerWord: 4, Blocks: 5}}
+
+	f6cfg := Fig6Config{Runs: runs, Batch: batch, Apps: []string{"P-BICG"}, Models: models}
+	f6s, err := Fig6HotVsRest(serial, f6cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f6p, err := Fig6HotVsRest(parallel, f6cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f6s, f6p) {
+		t.Error("Fig6: parallel multi-claim results differ from serial")
+	}
+	for i, c := range f6s {
+		space := c.Space
+		want := unsplitCampaign(t, serial, c.App, core.None, 0, func(*Checkpoint) (fault.Selector, error) {
+			blocks, err := serial.spaceBlocks(c.App, space)
+			if err != nil {
+				return nil, err
+			}
+			return fault.NewSetSelector(blocks)
+		}, models[i%len(models)], runs, 7, batch)
+		if c.Result != want {
+			t.Errorf("Fig6 %s/%s/%s: merged units %+v, unsplit campaign %+v", c.App, c.Space, c.Model.Label, c.Result, want)
+		}
+	}
+
+	f9cfg := Fig9Config{Runs: runs, Batch: batch, Apps: []string{"P-BICG"}, Models: models[1:]}
+	f9s, err := Fig9Resilience(serial, f9cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f9p, err := Fig9Resilience(parallel, f9cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f9s, f9p) {
+		t.Error("Fig9: parallel multi-claim results differ from serial")
+	}
+	for _, c := range f9s {
+		want := unsplitCampaign(t, serial, c.App, c.Scheme, c.Level,
+			(*Checkpoint).MissSelector, models[1], runs, 11, batch)
+		if c.Result != want {
+			t.Errorf("Fig9 %s %v L%d: merged units %+v, unsplit campaign %+v", c.App, c.Scheme, c.Level, c.Result, want)
+		}
+	}
+
+	bcfg := BreakdownConfig{Runs: runs, Batch: batch, Apps: []string{"P-MVT"},
+		Models: []fault.Model{fault.StuckAt{BitsPerWord: 3, Blocks: 1}, fault.Transient{Flips: 2, Blocks: 1}}}
+	bs, err := FaultModelBreakdown(serial, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := FaultModelBreakdown(parallel, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bs, bp) {
+		t.Error("breakdown: parallel multi-claim results differ from serial")
+	}
+	for i, c := range bs {
+		want := unsplitCampaign(t, serial, c.App, c.Scheme, c.Level, func(cp *Checkpoint) (fault.Selector, error) {
+			blocks := make([]arch.BlockAddr, cp.App.Mem.TotalBlocks())
+			for b := range blocks {
+				blocks[b] = arch.BlockAddr(b)
+			}
+			return fault.NewSetSelector(blocks)
+		}, bcfg.Models[i%len(bcfg.Models)], runs, 13, batch)
+		if c.Result != want {
+			t.Errorf("breakdown %s %v L%d %s: merged units %+v, unsplit campaign %+v",
+				c.App, c.Scheme, c.Level, c.Model.Label, c.Result, want)
+		}
+	}
+
+	// A shard whose range [3, 37) starts and ends mid-claim: five units,
+	// the first and last partial.
+	spec := fleet.CampaignSpec{App: "P-BICG", Scheme: "none", Space: "hot",
+		Model: "stuck-at:bits=2,blocks=1", Runs: runs, Seed: 19, Batch: batch}
+	sh := fleet.Shard{JobID: "multi-claim", Spec: spec, Start: 3, End: 37}
+	cs, _, err := RunShard(context.Background(), serial, sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpar, _, err := RunShard(context.Background(), parallel, sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs != cpar {
+		t.Errorf("RunShard: parallel counts %+v differ from serial %+v", cpar, cs)
+	}
+	cp, err := serial.Checkpoint(spec.App, core.None, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := shardSelector(serial, cp, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cp.CampaignRange(fault.Campaign{Runs: runs, Seed: spec.Seed, Workers: 8, Batch: batch},
+		sh.Start, sh.End, fault.StuckAt{BitsPerWord: 2, Blocks: 1}, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.Result(); got != want {
+		t.Errorf("RunShard [%d, %d): merged units %+v, unsplit range %+v", sh.Start, sh.End, got, want)
 	}
 }
 

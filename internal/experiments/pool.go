@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -32,28 +33,18 @@ func (s *Suite) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// campaignWorkers bounds the fault.Campaign parallelism nested inside a
-// suite-level task so the two levels multiply out to roughly GOMAXPROCS
-// rather than oversubscribing it.
-func (s *Suite) campaignWorkers() int {
-	w := runtime.GOMAXPROCS(0) / s.workers()
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// campaign builds a fault.Campaign with the suite's nested worker bound,
-// telemetry registry, and cancellation context, so every experiment's
-// campaigns report live outcome counters when the suite is observed and
-// stop claiming runs once the suite's context is cancelled. batch is the
-// per-experiment override (0 falls back to the suite-wide default, which
-// itself defaults to fault.DefaultBatch).
+// campaign builds a fault.Campaign with the suite's telemetry registry and
+// cancellation context, so every experiment's campaigns report live outcome
+// counters when the suite is observed and stop claiming runs once the
+// suite's context is cancelled. Workers is 1: runCampaigns splits campaigns
+// into batch-claim units on the suite pool, which is the only owner of
+// host parallelism. batch is the per-experiment override (0 falls back to
+// the suite-wide default, which itself defaults to fault.DefaultBatch).
 func (s *Suite) campaign(runs int, seed int64, batch int) fault.Campaign {
 	if batch == 0 {
 		batch = s.cfg.Batch
 	}
-	return fault.Campaign{Runs: runs, Seed: seed, Workers: s.campaignWorkers(),
+	return fault.Campaign{Runs: runs, Seed: seed, Workers: 1,
 		Batch: batch, Metrics: s.cfg.Telemetry, Context: s.ctx}
 }
 
@@ -61,6 +52,97 @@ func (s *Suite) campaign(runs int, seed int64, batch int) fault.Campaign {
 // per-experiment override — the value folded into result-store keys.
 func (s *Suite) batchFor(override int) int {
 	return s.campaign(1, 0, override).BatchSize()
+}
+
+// campaignCell is one campaign to run on the suite pool: the runs
+// [start, end) of c against a checkpoint under one fault model and block
+// selector (a whole campaign is [0, c.Runs)).
+type campaignCell struct {
+	cp         *Checkpoint
+	model      fault.Model
+	sel        fault.Selector
+	c          fault.Campaign
+	start, end int
+	// what names the cell in errors (e.g. "fig6 P-BICG/hot/stuck-at...").
+	what string
+}
+
+// runCampaigns runs every cell on the suite pool and returns one merged
+// result per cell. Each cell is split into units of BatchSize() runs — the
+// same [lo, hi) claims fault.Campaign would make — and every unit is one
+// pool task running CampaignRange with one worker, so a cell's runs spread
+// over the whole pool instead of its configuration's task. Run i keeps its
+// (Seed, i) rng whatever unit executes it, so merging a cell's units with
+// fault.Result.Add reproduces the serial campaign byte for byte.
+//
+// Units start lowest index first, except that a worker skips units whose
+// checkpoint another worker is running. A batch claim holds one fork per
+// run, and the checkpoint's fork pool keeps every fork it ever handed out,
+// so two concurrent units on one checkpoint would double the forks each
+// checkpoint retains. Units of a busy checkpoint run only when nothing
+// else is pending.
+func (s *Suite) runCampaigns(phase string, cells []campaignCell) ([]fault.Result, error) {
+	type unit struct{ cell, lo, hi int }
+	var units []unit
+	for i, c := range cells {
+		// At least one unit per cell, so an empty or invalid range surfaces
+		// CampaignRange's error rather than a silent zero result.
+		for lo, b := c.start, c.c.BatchSize(); ; lo += b {
+			hi := min(lo+b, c.end)
+			units = append(units, unit{i, lo, hi})
+			if hi >= c.end {
+				break
+			}
+		}
+	}
+	var (
+		mu    sync.Mutex
+		taken = make([]bool, len(units))
+		first int // lowest unit not yet taken
+		busy  = make(map[*Checkpoint]int)
+	)
+	take := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		for taken[first] {
+			first++
+		}
+		pick := first
+		for j := first; j < len(units); j++ {
+			if !taken[j] && busy[cells[units[j].cell].cp] == 0 {
+				pick = j
+				break
+			}
+		}
+		taken[pick] = true
+		busy[cells[units[pick].cell].cp]++
+		return pick
+	}
+	parts := make([]fault.Result, len(units))
+	err := s.runTasks(phase, len(units), func(int) error {
+		j := take()
+		u := units[j]
+		c := cells[u.cell]
+		res, err := c.cp.CampaignRange(c.c, u.lo, u.hi, c.model, c.sel)
+		mu.Lock()
+		if busy[c.cp]--; busy[c.cp] == 0 {
+			delete(busy, c.cp)
+		}
+		mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", c.what, err)
+		}
+		parts[j] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]fault.Result, len(cells))
+	for i, u := range units {
+		out[u.cell].Add(parts[i])
+	}
+	return out, nil
 }
 
 // runTasks executes n independent task units on at most s.workers()

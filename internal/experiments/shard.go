@@ -105,12 +105,15 @@ func RunShard(ctx context.Context, s *Suite, shard fleet.Shard) (fleet.Counts, s
 			}
 			c := s.campaign(spec.Runs, spec.Seed, spec.Batch)
 			c.Context = ctx
-			res, err := cp.CampaignRange(c, shard.Start, shard.End, model, sel)
+			res, err := s.runCampaigns("shard: campaign", []campaignCell{{
+				cp: cp, model: model, sel: sel, c: c,
+				start: shard.Start, end: shard.End,
+				what: fmt.Sprintf("shard %s [%d, %d)", spec, shard.Start, shard.End),
+			}})
 			if err != nil {
-				return fleet.Counts{}, fmt.Errorf("experiments: shard %s [%d, %d): %w",
-					spec, shard.Start, shard.End, err)
+				return fleet.Counts{}, err
 			}
-			return fleet.CountsFromResult(res), nil
+			return fleet.CountsFromResult(res[0]), nil
 		})
 	if err != nil {
 		return fleet.Counts{}, "", err

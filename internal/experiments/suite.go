@@ -6,9 +6,10 @@
 // reliability results, and timing-simulator sweeps for the performance
 // results.
 //
-// Every experiment fans its independent work units (per application, and
-// per scheme × protection level for the timing and resilience sweeps) over
-// a bounded worker pool sized by SuiteConfig.Workers. Task results are
+// Every experiment fans its independent work units (per application, per
+// scheme × protection level for the timing and resilience sweeps, and per
+// campaign batch claim) over one bounded worker pool sized by
+// SuiteConfig.Workers — the only owner of host parallelism. Task results are
 // assembled by index, and every per-run random stream is derived from the
 // configured seed rather than from scheduling order, so the output of a
 // parallel run is bit-identical to a serial one at any worker count. The
@@ -25,7 +26,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -79,14 +79,19 @@ type SuiteConfig struct {
 	Seed int64
 	// Scale selects workload input sizes (default ScaleSmall).
 	Scale Scale
-	// Workers bounds the suite-level experiment fan-out (independent
-	// applications, and scheme × level configurations within the Fig. 7 and
-	// Fig. 9 sweeps). 0 means GOMAXPROCS. Results are identical at any
-	// worker count; only wall-clock time changes.
+	// Workers bounds the suite's worker pool, the only owner of host
+	// parallelism: experiment fan-out units (applications, scheme × level
+	// configurations, and campaign batch claims) all run on it, and
+	// nothing nested inside a unit spawns further workers unless SimShards
+	// opts in. 0 means GOMAXPROCS. Results are identical at any worker
+	// count; only wall-clock time changes.
 	Workers int
 	// SimShards sets the timing engine's event-scheduler shard count for
-	// every replay the suite runs (timing.Engine.Shards). 0 means
-	// GOMAXPROCS; the engine clamps to [1, NumSMs] and forces the serial
+	// every replay the suite runs (timing.Engine.Shards). 0 means 1: the
+	// worker pool already fills the cores with concurrent replays, and
+	// shards inside it only add barrier synchronisation. Values above 1
+	// opt in to sharded replay, which pays only for a lone replay with
+	// idle cores; the engine clamps to [1, NumSMs] and forces the serial
 	// path for instrumented replays (OnStore, InjectAt). Replay statistics
 	// are byte-identical at any shard count — the golden-stats gate pins
 	// this — so the value is a pure performance control and is deliberately
@@ -138,7 +143,7 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 		c.Scale = ScaleSmall
 	}
 	if c.SimShards == 0 {
-		c.SimShards = runtime.GOMAXPROCS(0)
+		c.SimShards = 1
 	}
 	return c
 }

@@ -243,6 +243,11 @@ func (c Campaign) ExecuteRangeBatched(start, end int, run BatchRunFunc) (Result,
 	return c.executeRange(start, end, c.BatchSize(), run)
 }
 
+// rngPool holds per-worker rng sets (*[]*rand.Rand) between executeRange
+// calls. Every rng is reseeded before use, so a pooled set carries no
+// state from one campaign into the next.
+var rngPool = sync.Pool{New: func() any { return new([]*rand.Rand) }}
+
 // executeRange is the shared chunk-claiming executor behind ExecuteRange
 // (batch 1) and ExecuteRangeBatched.
 func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result, error) {
@@ -261,31 +266,33 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 		workers = maxClaims
 	}
 
-	var (
+	// The workers' shared state lives in one struct, so a call pays one
+	// heap allocation for it rather than one per captured variable.
+	st := struct {
 		mu      sync.Mutex
-		res     = Result{Runs: n}
+		res     Result
 		firstEr error
-		next    = start
+		next    int
 		done    int
 		wg      sync.WaitGroup
-	)
+	}{res: Result{Runs: n}, next: start}
 	claim := func() (int, int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstEr == nil && c.Context != nil {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if st.firstEr == nil && c.Context != nil {
 			if err := c.Context.Err(); err != nil {
-				firstEr = err
+				st.firstEr = err
 			}
 		}
-		if firstEr != nil || next >= end {
+		if st.firstEr != nil || st.next >= end {
 			return 0, 0, false
 		}
-		lo := next
+		lo := st.next
 		hi := lo + batch
 		if hi > end {
 			hi = end
 		}
-		next = hi
+		st.next = hi
 		return lo, hi, true
 	}
 	var outcomes *telemetry.CounterVec
@@ -308,50 +315,55 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 				runsTotal.Inc()
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
+		st.mu.Lock()
+		defer st.mu.Unlock()
 		if err != nil {
-			if firstEr == nil {
-				firstEr = err
+			if st.firstEr == nil {
+				st.firstEr = err
 			}
 			return
 		}
 		switch o {
 		case Masked:
-			res.MaskedRuns++
+			st.res.MaskedRuns++
 		case SDC:
-			res.SDCRuns++
+			st.res.SDCRuns++
 		case Detected:
-			res.DetectedRuns++
+			st.res.DetectedRuns++
 		case Crashed:
-			res.CrashedRuns++
+			st.res.CrashedRuns++
 		case DUE:
-			res.DUERuns++
+			st.res.DUERuns++
 		default:
-			if firstEr == nil {
-				firstEr = fmt.Errorf("fault: run returned invalid outcome %d", int(o))
+			if st.firstEr == nil {
+				st.firstEr = fmt.Errorf("fault: run returned invalid outcome %d", int(o))
 			}
 			return
 		}
-		done++
+		st.done++
 		if c.Progress != nil {
-			c.Progress(done, n)
+			c.Progress(st.done, n)
 		}
 	}
 
-	wg.Add(workers)
+	st.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			// Each worker owns a pool of batch rngs, reseeded per claim:
+			// Each worker borrows a set of batch rngs, reseeded per claim:
 			// (*rand.Rand).Seed resets the source to the exact state a fresh
 			// rand.New(rand.NewSource(seed)) starts in, so reuse changes
 			// nothing about any run's stream while dropping the two
-			// allocations per run the fresh construction paid.
-			rngs := make([]*rand.Rand, 0, batch)
+			// allocations per run the fresh construction paid. The set goes
+			// back to rngPool afterwards, so many short ranges (one batch
+			// claim each) reuse rngs across calls too.
+			rp := rngPool.Get().(*[]*rand.Rand)
+			rngs := *rp
 			for {
 				lo, hi, ok := claim()
 				if !ok {
-					wg.Done()
+					*rp = rngs
+					rngPool.Put(rp)
+					st.wg.Done()
 					return
 				}
 				n := hi - lo
@@ -376,9 +388,9 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 			}
 		}()
 	}
-	wg.Wait()
-	if firstEr != nil {
-		return Result{}, firstEr
+	st.wg.Wait()
+	if st.firstEr != nil {
+		return Result{}, st.firstEr
 	}
-	return res, nil
+	return st.res, nil
 }

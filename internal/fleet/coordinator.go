@@ -368,6 +368,9 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		return fmt.Errorf("fleet: job %s shard %d reported %d runs, range holds %d",
 			req.JobID, req.Index, got, want)
 	}
+	if err := req.Counts.check(); err != nil {
+		return fmt.Errorf("fleet: job %s shard %d: %w", req.JobID, req.Index, err)
+	}
 	st.done = true
 	st.assigned = false
 	st.counts = req.Counts

@@ -304,6 +304,48 @@ func TestCoordinatorRejectsBadSubmissionsAndCompletions(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsInconsistentCounts: a completion whose outcome
+// counts are negative or do not sum to Runs is rejected without merging,
+// and the shard still accepts a well-formed completion afterwards.
+func TestCoordinatorRejectsInconsistentCounts(t *testing.T) {
+	c, _ := newTestCoordinator(t, nil)
+	job, err := c.Submit(spec(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := c.Join(JoinRequest{Name: "w"})
+	resp, err := c.Poll(PollRequest{WorkerID: w.WorkerID})
+	if err != nil || resp.Shard == nil {
+		t.Fatalf("poll = %+v (%v)", resp, err)
+	}
+	sh := *resp.Shard
+	for _, bad := range []Counts{
+		{Runs: 4, Masked: 6, SDC: -2},     // sums to Runs, one count negative
+		{Runs: 4, Masked: 1, SDC: 1},      // sums short of Runs
+		{Runs: 4, Masked: 4, Detected: 1}, // sums past Runs
+		{Runs: 4, Crashed: 5, DUE: -1},    // negative DUE
+	} {
+		err := c.Complete(CompleteRequest{
+			WorkerID: w.WorkerID, JobID: sh.JobID, Index: sh.Index, Counts: bad,
+		})
+		if err == nil {
+			t.Errorf("inconsistent counts %+v accepted", bad)
+		}
+	}
+	if st, _ := c.Job(job.ID); st.ShardsDone != 0 || st.Merged != (Counts{}) {
+		t.Fatalf("rejected completions leaked into the job: %+v", st)
+	}
+	good := Counts{Runs: 4, Masked: 2, SDC: 1, Detected: 1}
+	if err := c.Complete(CompleteRequest{
+		WorkerID: w.WorkerID, JobID: sh.JobID, Index: sh.Index, Counts: good,
+	}); err != nil {
+		t.Fatalf("well-formed counts rejected: %v", err)
+	}
+	if st, _ := c.Job(job.ID); st.State != JobDone || st.Merged != good {
+		t.Fatalf("job after good completion = %+v", st)
+	}
+}
+
 // counterValue extracts one counter from a snapshot.
 func counterValue(t *testing.T, snap []telemetry.Sample, name string) float64 {
 	t.Helper()

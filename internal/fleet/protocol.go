@@ -94,6 +94,24 @@ type Counts struct {
 	DUE      int `json:"due"`
 }
 
+// check rejects tallies no campaign can produce: negative outcome counts,
+// or outcome counts that do not sum to Runs. The coordinator merges only
+// checked counts, so one malformed completion cannot skew a job's result.
+func (c Counts) check() error {
+	outcomes := []int{c.Masked, c.SDC, c.Detected, c.Crashed, c.DUE}
+	sum := 0
+	for _, n := range outcomes {
+		if n < 0 {
+			return fmt.Errorf("negative outcome count in %+v", c)
+		}
+		sum += n
+	}
+	if sum != c.Runs {
+		return fmt.Errorf("outcome counts sum to %d, want runs %d", sum, c.Runs)
+	}
+	return nil
+}
+
 // CountsFromResult converts a campaign result into wire counts.
 func CountsFromResult(r fault.Result) Counts {
 	return Counts{
