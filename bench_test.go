@@ -30,8 +30,7 @@ const benchRuns = 60
 // campaign batch claims alike — out over GOMAXPROCS goroutines
 // (SuiteConfig.Workers = 0), its only level of host parallelism; the
 // *Serial benchmark variants pin Workers to 1, which makes the whole suite
-// single-goroutine (timing replays are single-shard by default), so a
-// -bench run records the pool's speedup. Both paths produce identical
+// single-goroutine, so a -bench run records the pool's speedup. Both paths produce identical
 // results by construction (per-run seeds are derived from run indices,
 // never from scheduling).
 var (

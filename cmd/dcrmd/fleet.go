@@ -78,7 +78,7 @@ func runWorker(ctx context.Context, coordinator, addr string, cfg experiments.Su
 		return err
 	}
 
-	srv := &http.Server{Addr: addr, Handler: workerMux(w, reg)}
+	srv := newHTTPServer(addr, workerMux(w, reg))
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "dcrmd: worker for %s, serving health on %s\n", coordinator, addr)

@@ -150,9 +150,20 @@ func TestFleetSurvivesWorkerDeath(t *testing.T) {
 	}
 	victim, victimDone := startWorker(t, ctx, srv.URL, "victim", victimRun)
 
+	// Survivors hold their shards until the victim hangs on its second
+	// one. Without the gate the victim's second shard is a race it can
+	// lose: the survivors may drain the queue while its first shard runs.
 	for i := 1; i < 3; i++ {
 		s := workerSuite(t)
-		_, done := startWorker(t, ctx, srv.URL, "survivor", experiments.ShardRunner(s))
+		survivorRun := func(ctx context.Context, sh fleet.Shard) (fleet.Counts, string, error) {
+			select {
+			case <-hanging:
+			case <-ctx.Done():
+				return fleet.Counts{}, "", ctx.Err()
+			}
+			return experiments.RunShard(ctx, s, sh)
+		}
+		_, done := startWorker(t, ctx, srv.URL, "survivor", survivorRun)
 		defer func() { cancel(); <-done }()
 	}
 

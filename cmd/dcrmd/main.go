@@ -114,7 +114,7 @@ func run() error {
 
 	runner := newRunner(cfg, reg, *maxInflight)
 	coord := newCoordinator(reg)
-	srv := &http.Server{Addr: *addr, Handler: newMux(runner, coord, reg, *pprofFlag)}
+	srv := newHTTPServer(*addr, newMux(runner, coord, reg, *pprofFlag))
 
 	errc := make(chan error, 1)
 	go func() {

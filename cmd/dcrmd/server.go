@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"github.com/datacentric-gpu/dcrm/internal/fleet"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
@@ -74,8 +75,7 @@ func newMux(r *runner, coord *fleet.Coordinator, reg *telemetry.Registry, enable
 			Kind string `json:"kind"`
 			jobParams
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err))
+		if !fleet.DecodeJSON(w, req, &body) {
 			return
 		}
 		j, err := r.submit(body.Kind, body.jobParams)
@@ -154,6 +154,21 @@ func health(r *runner, coord *fleet.Coordinator) healthReport {
 	}
 	rep.Components = append(rep.Components, fleetHealth)
 	return rep
+}
+
+// newHTTPServer builds a listener with bounded read phases, so a slow or
+// stalled client cannot pin a connection open: headers within 10 s, the
+// whole request within 30 s, idle keep-alives closed after 2 min. There is
+// no write deadline: /debug/pprof/profile legitimately responds only after
+// its requested capture duration.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

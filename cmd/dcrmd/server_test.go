@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/datacentric-gpu/dcrm/internal/experiments"
+	"github.com/datacentric-gpu/dcrm/internal/fleet"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
@@ -298,4 +299,70 @@ func TestPprofGatedByFlag(t *testing.T) {
 		}
 	}
 	r.wait()
+}
+
+// TestOversizeBodiesRejected posts a body one past fleet.MaxBodyBytes to
+// every JSON endpoint: each must answer 413 without decoding it, and the
+// daemon must keep serving afterwards.
+func TestOversizeBodiesRejected(t *testing.T) {
+	srv, _ := newTestServer(t)
+	body := `{"kind":"` + strings.Repeat("x", fleet.MaxBodyBytes) + `"}`
+	for _, path := range []string{
+		"/v1/campaigns",
+		"/v1/fleet/join",
+		"/v1/fleet/heartbeat",
+		"/v1/fleet/poll",
+		"/v1/fleet/complete",
+		"/v1/fleet/campaigns",
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", path, len(body), resp.StatusCode)
+		}
+		if resp := getJSON(t, srv.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /healthz after oversize POST %s = %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestDaemonFailsJobOnUnknownApp: an unknown application is not caught at
+// submission; the experiment's own error must fail the job (and only the
+// job) with a message naming the application.
+func TestDaemonFailsJobOnUnknownApp(t *testing.T) {
+	srv, _ := newTestServer(t)
+	for _, kind := range []string{"fig6", "fig9"} {
+		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json",
+			strings.NewReader(`{"kind":"`+kind+`","apps":["NoSuchApp"],"runs":4}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var submitted job
+		if err := json.NewDecoder(resp.Body).Decode(&submitted); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s = %d", kind, resp.StatusCode)
+		}
+		deadline := time.Now().Add(time.Minute)
+		var finished job
+		for finished.State != stateDone && finished.State != stateFailed {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s job stuck in state %q", kind, finished.State)
+			}
+			time.Sleep(20 * time.Millisecond)
+			getJSON(t, srv.URL+"/v1/campaigns/"+submitted.ID, &finished)
+		}
+		if finished.State != stateFailed || !strings.Contains(finished.Error, "NoSuchApp") {
+			t.Errorf("%s job with an unknown app: state %q, error %q; want failed naming the app",
+				kind, finished.State, finished.Error)
+		}
+	}
+	if resp := getJSON(t, srv.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after failed jobs = %d", resp.StatusCode)
+	}
 }

@@ -6,7 +6,7 @@
 //
 //	faultinject [-runs 1000] [-apps P-BICG,A-Laplacian] [-seed 7] [-workers 0] [-batch 0]
 //	            [-quiet] [-model spec[;spec...]] [-breakdown] [-csv dir] [-store-dir dir]
-//	            [-prewarm] [-metrics-out metrics.txt]
+//	            [-metrics-out metrics.txt]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Campaign progress (completed configurations, elapsed time, ETA) is
@@ -18,13 +18,9 @@
 // -batch bounds how many runs a campaign claim classifies per functional
 // replay (0 = auto, 1 = unbatched); it only changes speed, never results.
 //
-// -prewarm builds the experiment's checkpoint artifacts (goldens, batched-
-// replay captures, store timelines) in parallel before the campaigns start;
-// with -store-dir they persist, so a second invocation fetches them from
-// disk instead of recomputing. -metrics-out writes a Prometheus snapshot of
-// the process's internal telemetry (including the
-// dcrm_artifact_{requests,computed}_total counters that prove a warm start
-// recomputed nothing) at exit.
+// -metrics-out writes a Prometheus snapshot of the process's internal
+// telemetry (including the dcrm_artifact_{requests,computed}_total
+// counters that prove a warm start recomputed nothing) at exit.
 //
 // -model selects the fault models swept, as semicolon-separated registry
 // specs ("stuck-at:bits=3,blocks=1;transient:flips=2"); see
@@ -35,7 +31,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -68,7 +63,6 @@ func run() error {
 	breakdown := flag.Bool("breakdown", false, "run the fault-model × scheme outcome breakdown instead of Fig. 6")
 	csvDir := flag.String("csv", "", "also export the result cells as CSV into this directory (created if missing)")
 	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	prewarm := flag.Bool("prewarm", false, "build the experiment's checkpoint artifacts (goldens, captures, timelines) in parallel before the campaigns; results are identical either way")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus snapshot of internal telemetry to this file at exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
@@ -130,29 +124,13 @@ func run() error {
 	}
 
 	if *breakdown {
-		bcfg := experiments.BreakdownConfig{
+		return runBreakdown(suite, experiments.BreakdownConfig{
 			Runs: *runs, Seed: *seed, Models: models, Apps: appList,
-		}
-		if *prewarm {
-			specs, err := suite.BreakdownPrewarmSpecs(bcfg)
-			if err != nil {
-				return err
-			}
-			if err := suite.Prewarm(context.Background(), specs); err != nil {
-				return err
-			}
-		}
-		return runBreakdown(suite, bcfg, *csvDir)
+		}, *csvDir)
 	}
-	fcfg := experiments.Fig6Config{
+	return runFig6(suite, experiments.Fig6Config{
 		Runs: *runs, Seed: *seed, Models: models, Apps: appList,
-	}
-	if *prewarm {
-		if err := suite.Prewarm(context.Background(), suite.Fig6PrewarmSpecs(fcfg)); err != nil {
-			return err
-		}
-	}
-	return runFig6(suite, fcfg, *csvDir)
+	}, *csvDir)
 }
 
 // writeMetrics snapshots the telemetry registry in Prometheus text format.

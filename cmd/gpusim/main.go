@@ -4,7 +4,7 @@
 // Usage:
 //
 //	gpusim -app P-BICG [-scheme none|detection|correction] [-level N] [-scheduler gto|lrr] [-trace out.json]
-//	       [-store-dir dir] [-sim-shards N] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	       [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -store-dir, the run's statistics are persisted to a
 // content-addressed store: a repeat invocation with the same configuration
@@ -44,7 +44,6 @@ func run() error {
 	scheduler := flag.String("scheduler", "gto", "warp scheduler: gto or lrr")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event timeline (load in chrome://tracing or Perfetto) to this file")
 	storeDir := flag.String("store-dir", "", "persist run statistics to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = 1; above 1 opts in to sharded replay, which pays only with idle cores); statistics are byte-identical at any count")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -59,7 +58,7 @@ func run() error {
 	}
 	defer stopProfiling()
 
-	scfg := experiments.SuiteConfig{SimShards: *simShards}
+	scfg := experiments.SuiteConfig{}
 	if *storeDir != "" {
 		st, err := store.Open(store.Config{Dir: *storeDir})
 		if err != nil {
@@ -132,7 +131,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		eng.Shards = suite.SimShards()
 		eng.Policy = policy
 		eng.Trace = telemetry.NewTrace()
 		st, err = eng.RunApp(app.Name, traces)

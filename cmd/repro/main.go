@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	repro [-runs 200] [-workers 0] [-sim-shards 0] [-fig 3|4|6|7|9] [-table 1|2|3] [-scale small] [-csv dir]
+//	repro [-runs 200] [-workers 0] [-fig 3|4|6|7|9] [-table 1|2|3] [-scale small] [-csv dir]
 //	      [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -store-dir, every figure and table result is persisted to a
@@ -45,7 +45,6 @@ func run() error {
 	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
 	scale := flag.String("scale", "small", "workload input scale: small, medium, large")
 	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
-	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = 1; above 1 opts in to sharded replay, which pays only with idle cores); results are identical at any count")
 	quiet := flag.Bool("quiet", false, "suppress the stderr progress/ETA reporter")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
@@ -62,7 +61,7 @@ func run() error {
 	defer stopProfiling()
 	exportDir = *csvDir
 
-	cfg := experiments.SuiteConfig{Workers: *workers, SimShards: *simShards}
+	cfg := experiments.SuiteConfig{Workers: *workers}
 	cfg.Progress = experiments.Progress(*quiet, os.Stderr)
 	if *storeDir != "" {
 		st, err := store.Open(store.Config{Dir: *storeDir})

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	resilience -perf [-apps …] [-workers 0] [-csv dir] [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	resilience -sdc [-runs 1000] [-apps …] [-workers 0] [-prewarm] [-csv dir] [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	resilience -sdc [-runs 1000] [-apps …] [-workers 0] [-csv dir] [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -csv the Fig. 7 points and Fig. 9 cells are also exported as CSV
 // (parent directories are created as needed); with -store-dir results are
@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +43,6 @@ func run() error {
 	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
 	csvDir := flag.String("csv", "", "also export figure data as CSV into this directory (created if missing)")
 	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	prewarm := flag.Bool("prewarm", false, "build the Fig. 9 checkpoint artifacts (goldens, captures, miss weights) in parallel before the campaigns; results are identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -87,17 +85,6 @@ func run() error {
 		}
 	}
 	if *sdc {
-		if *prewarm {
-			specs, err := suite.Fig9PrewarmSpecs(experiments.Fig9Config{
-				Runs: *runs, Seed: *seed, Apps: appList,
-			})
-			if err != nil {
-				return err
-			}
-			if err := suite.Prewarm(context.Background(), specs); err != nil {
-				return err
-			}
-		}
 		if err := runSDC(suite, appList, *runs, *seed, *csvDir); err != nil {
 			return err
 		}

@@ -32,8 +32,7 @@ import (
 const artifactFormatVersion = 1
 
 // Artifact kinds — the nodes of the checkpoint artifact DAG. All four hang
-// off the checkpoint's prepared image (app + plan); none depends on another,
-// so a prewarm can build them concurrently.
+// off the checkpoint's prepared image (app + plan); none depends on another.
 const (
 	// ArtifactGolden is the fault-free golden run: the metric output plus
 	// the post-run image as a dirty-block delta against the prepared image.
@@ -99,8 +98,7 @@ func (cp *Checkpoint) artifactKey(kind string) store.Key {
 
 // artifactDo serves one artifact through the suite store: memory tier,
 // then checksummed disk tier, then compute — computed at most once among
-// concurrent callers by the store's singleflight, which is what gives
-// Prewarm its artifact-granularity coalescing. Telemetry:
+// concurrent callers by the store's singleflight. Telemetry:
 // dcrm_artifact_requests_total counts first-use requests per kind,
 // dcrm_artifact_computed_total counts the requests that actually ran the
 // computation — a fully warm process shows requests with zero computes.
@@ -194,9 +192,9 @@ func (cp *Checkpoint) footprint() int64 {
 }
 
 // BuildArtifact forces one artifact kind to exist — computing it, or
-// fetching it from the store's memory or disk tier. It is the unit of work
-// Suite.Prewarm fans out. Capture unavailability is not an error (the
-// batched path falls back); every other kind surfaces its build error.
+// fetching it from the store's memory or disk tier. Capture unavailability
+// is not an error (the batched path falls back); every other kind surfaces
+// its build error.
 func (cp *Checkpoint) BuildArtifact(kind string) error {
 	switch kind {
 	case ArtifactGolden:

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -93,7 +91,7 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, weights, err := missWeights(cp1.App, cp1.Plan, cp1.simShards)
+	blocks, weights, err := missWeights(cp1.App, cp1.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +204,9 @@ func TestArtifactCorruptionRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := paritySuite(t, st, reg)
-				// Force every kind like a restarted worker's prewarm would:
-				// the corrupt entry is detected, recomputed, and rewritten;
-				// the intact kinds decode from disk.
+				// Force every kind: the corrupt entry is detected,
+				// recomputed, and rewritten; the intact kinds decode from
+				// disk.
 				buildAllArtifacts(t, s)
 				if res := artifactCampaign(t, s); res != baseline {
 					t.Errorf("campaign after %s corruption = %+v, want %+v", kind, res, baseline)
@@ -236,24 +234,20 @@ func TestArtifactCorruptionRecovery(t *testing.T) {
 }
 
 // TestSecondProcessServesArtifacts is the warm-start telemetry gate: after
-// one process prewarms into a disk store, a second process prewarming the
-// same specs and running a campaign must request every artifact kind and
-// compute none of them.
+// one process builds every artifact kind into a disk store, a second
+// process forcing the same artifacts and running a campaign must request
+// every artifact kind and compute none of them.
 func TestSecondProcessServesArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
 	}
 	dir := t.TempDir()
-	specs := []CheckpointSpec{{App: "P-BICG", Artifacts: ArtifactKinds()}}
 
 	st1, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := paritySuite(t, st1, nil)
-	if err := s1.Prewarm(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
+	buildAllArtifacts(t, paritySuite(t, st1, nil))
 
 	reg := telemetry.NewRegistry()
 	st2, err := store.Open(store.Config{Dir: dir, Telemetry: reg})
@@ -261,9 +255,7 @@ func TestSecondProcessServesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := paritySuite(t, st2, reg)
-	if err := s2.Prewarm(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
+	buildAllArtifacts(t, s2)
 	artifactCampaign(t, s2)
 
 	snap := reg.Snapshot()
@@ -277,53 +269,5 @@ func TestSecondProcessServesArtifacts(t *testing.T) {
 	}
 	if hits, ok := snap.Get("dcrm_store_disk_hits_total"); !ok || hits.Value == 0 {
 		t.Error("warm process served nothing from the disk tier")
-	}
-}
-
-// TestPrewarmEquivalence checks that Prewarm is purely a scheduling change:
-// figure outputs with a prewarmed suite match a lazily-built suite exactly.
-func TestPrewarmEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign sweeps in -short mode")
-	}
-	apps := []string{"P-BICG"}
-	fig6cfg := Fig6Config{Runs: 6, Seed: 5, Apps: apps}
-	fig9cfg := Fig9Config{Runs: 6, Seed: 5, Apps: apps}
-
-	outputs := func(s *Suite) []byte {
-		t.Helper()
-		fig6, err := Fig6HotVsRest(s, fig6cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig9, err := Fig9Resilience(s, fig9cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := json.Marshal(struct {
-			Fig6 []Fig6Cell
-			Fig9 []Fig9Cell
-		}{fig6, fig9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	lazy := outputs(paritySuite(t, nil, nil))
-
-	warmed := paritySuite(t, nil, nil)
-	if err := warmed.Prewarm(context.Background(), warmed.Fig6PrewarmSpecs(fig6cfg)); err != nil {
-		t.Fatal(err)
-	}
-	specs, err := warmed.Fig9PrewarmSpecs(fig9cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warmed.Prewarm(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := outputs(warmed); !bytes.Equal(got, lazy) {
-		t.Errorf("prewarmed figure output diverges from lazy output\nlazy:     %s\nprewarmed: %s", lazy, got)
 	}
 }

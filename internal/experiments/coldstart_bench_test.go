@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -11,32 +10,54 @@ import (
 
 // Cold-start benchmark shape: one op is bringing a multi-checkpoint
 // campaign session to fully-warm artifacts — two applications, baseline
-// plus a protected configuration each, all four artifact kinds (16 units).
-// "cold" builds them the way a lazy first campaign serializes them,
-// "prewarmed" fans the same units over the worker pool, and
-// "secondprocess" warm-starts a fresh process from the disk tier (and
-// fails the run if anything recomputes). Suite construction and input
-// images are built outside the timer: the measured region is exactly the
-// artifact work Prewarm parallelizes. BENCH_coldstart.json records the
-// committed baseline; scripts/bench.sh regenerates it and CI compares
-// warn-only via scripts/bench_compare.sh.
+// plus a protected configuration each, all four artifact kinds (16 units)
+// built checkpoint by checkpoint, the way a lazy first campaign builds
+// them. "cold" computes them into an empty disk store; "secondprocess"
+// warm-starts a fresh process from the disk tier (and fails the run if
+// anything recomputes). Suite construction and input images are built
+// outside the timer: the measured region is exactly the artifact work.
+// BENCH_coldstart.json records the committed baseline; scripts/bench.sh
+// regenerates it.
 
-// benchColdSpecs names the benchmark's artifact workload and forces the
+// benchColdConfig is one checkpoint configuration of the workload.
+type benchColdConfig struct {
+	app    string
+	scheme core.Scheme
+	level  int
+}
+
+// benchColdConfigs names the benchmark's checkpoints and forces the
 // plan-invariant inputs (application images) so the timed region starts
 // from the same warm images on every variant.
-func benchColdSpecs(b *testing.B, s *Suite) []CheckpointSpec {
+func benchColdConfigs(b *testing.B, s *Suite) []benchColdConfig {
 	b.Helper()
-	var specs []CheckpointSpec
+	var cfgs []benchColdConfig
 	for _, name := range []string{"P-BICG", "A-Laplacian"} {
 		app, err := s.App(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		specs = append(specs,
-			CheckpointSpec{App: name, Artifacts: ArtifactKinds()},
-			CheckpointSpec{App: name, Scheme: core.Detection, Level: app.HotCount, Artifacts: ArtifactKinds()})
+		cfgs = append(cfgs,
+			benchColdConfig{name, core.None, 0},
+			benchColdConfig{name, core.Detection, app.HotCount})
 	}
-	return specs
+	return cfgs
+}
+
+// benchColdBuild forces every artifact kind of every configuration.
+func benchColdBuild(b *testing.B, s *Suite, cfgs []benchColdConfig) {
+	b.Helper()
+	for _, c := range cfgs {
+		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range ArtifactKinds() {
+			if err := cp.BuildArtifact(kind); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // benchColdSuite builds a fresh suite over st, outside the caller's timer.
@@ -58,37 +79,9 @@ func BenchmarkColdStart(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := benchColdSuite(b, st, nil)
-			specs := benchColdSpecs(b, s)
+			cfgs := benchColdConfigs(b, s)
 			b.StartTimer()
-			// The lazy path: each configuration's artifacts built
-			// back-to-back on one goroutine, checkpoint by checkpoint.
-			for _, sp := range specs {
-				cp, err := s.Checkpoint(sp.App, max(sp.Scheme, core.None), sp.Level)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, kind := range sp.Artifacts {
-					if err := cp.BuildArtifact(kind); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	})
-
-	b.Run("prewarmed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			st, err := store.Open(store.Config{Dir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := benchColdSuite(b, st, nil)
-			specs := benchColdSpecs(b, s)
-			b.StartTimer()
-			if err := s.Prewarm(context.Background(), specs); err != nil {
-				b.Fatal(err)
-			}
+			benchColdBuild(b, s, cfgs)
 		}
 	})
 
@@ -99,9 +92,7 @@ func BenchmarkColdStart(b *testing.B) {
 			b.Fatal(err)
 		}
 		seed := benchColdSuite(b, seedStore, nil)
-		if err := seed.Prewarm(context.Background(), benchColdSpecs(b, seed)); err != nil {
-			b.Fatal(err)
-		}
+		benchColdBuild(b, seed, benchColdConfigs(b, seed))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -111,11 +102,9 @@ func BenchmarkColdStart(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := benchColdSuite(b, st, reg)
-			specs := benchColdSpecs(b, s)
+			cfgs := benchColdConfigs(b, s)
 			b.StartTimer()
-			if err := s.Prewarm(context.Background(), specs); err != nil {
-				b.Fatal(err)
-			}
+			benchColdBuild(b, s, cfgs)
 			b.StopTimer()
 			snap := reg.Snapshot()
 			for _, kind := range ArtifactKinds() {

@@ -21,7 +21,11 @@ func TestCampaignRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := MissWeightedSelector(app, plan, 4)
+	blocks, weights, err := missWeights(app, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := fault.NewWeightedSelector(blocks, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,15 +86,6 @@ func RunShard(ctx context.Context, s *Suite, shard fleet.Shard) (fleet.Counts, s
 		Key()
 	counts, err := store.Do(s.st, key, store.Options[fleet.Counts]{Persist: true},
 		func() (fleet.Counts, error) {
-			// Prewarm the shard's checkpoint artifacts in parallel (the
-			// worker's heartbeat loop runs on its own goroutine, so the lease
-			// stays alive while artifacts build or stream in from disk). The
-			// campaign below then starts against fully warm state.
-			if ps, err := s.ShardPrewarmSpec(spec); err == nil {
-				if err := s.Prewarm(ctx, []CheckpointSpec{ps}); err != nil {
-					return fleet.Counts{}, err
-				}
-			}
 			cp, err := s.Checkpoint(spec.App, scheme, spec.Level)
 			if err != nil {
 				return fleet.Counts{}, err

@@ -82,21 +82,10 @@ type SuiteConfig struct {
 	// Workers bounds the suite's worker pool, the only owner of host
 	// parallelism: experiment fan-out units (applications, scheme × level
 	// configurations, and campaign batch claims) all run on it, and
-	// nothing nested inside a unit spawns further workers unless SimShards
-	// opts in. 0 means GOMAXPROCS. Results are identical at any worker
-	// count; only wall-clock time changes.
+	// nothing nested inside a unit spawns further workers. 0 means
+	// GOMAXPROCS. Results are identical at any worker count; only
+	// wall-clock time changes.
 	Workers int
-	// SimShards sets the timing engine's event-scheduler shard count for
-	// every replay the suite runs (timing.Engine.Shards). 0 means 1: the
-	// worker pool already fills the cores with concurrent replays, and
-	// shards inside it only add barrier synchronisation. Values above 1
-	// opt in to sharded replay, which pays only for a lone replay with
-	// idle cores; the engine clamps to [1, NumSMs] and forces the serial
-	// path for instrumented replays (OnStore, InjectAt). Replay statistics
-	// are byte-identical at any shard count — the golden-stats gate pins
-	// this — so the value is a pure performance control and is deliberately
-	// excluded from store keys.
-	SimShards int
 	// Batch is the default campaign batch size: how many runs a campaign
 	// claim replays per functional pass (0 = auto, fault.DefaultBatch;
 	// 1 disables batching). Outcomes are byte-identical at any batch size —
@@ -142,9 +131,6 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 	if c.Scale == 0 {
 		c.Scale = ScaleSmall
 	}
-	if c.SimShards == 0 {
-		c.SimShards = 1
-	}
 	return c
 }
 
@@ -184,8 +170,8 @@ type Suite struct {
 	// leaves it unset).
 	ctx context.Context
 	// base is the canonical suite identity folded into every store key:
-	// everything a cached result depends on. Workers, SimShards, Progress,
-	// and Telemetry are deliberately excluded — they are performance or
+	// everything a cached result depends on. Workers, Progress, and
+	// Telemetry are deliberately excluded — they are performance or
 	// observation controls and never change results.
 	base string
 }
@@ -223,10 +209,12 @@ func (s *Suite) key(ns string) *store.KeyBuilder {
 // after NewSuite).
 func (s *Suite) Store() *store.Store { return s.st }
 
-// SimShards returns the resolved timing-replay shard count (SimShards
-// after defaulting); callers building their own timing engines against
-// suite artifacts use it to match the suite's replay parallelism.
-func (s *Suite) SimShards() int { return s.cfg.SimShards }
+// SimShards returns 1.
+//
+// Deprecated: timing replay always runs on one event scheduler. SimShards
+// only keeps perfbench/ compiling and will be removed by the next
+// benchmark PR.
+func (s *Suite) SimShards() int { return 1 }
 
 // AllNames returns every application label, evaluated apps first.
 func (s *Suite) AllNames() []string {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -473,21 +474,21 @@ func (c *Coordinator) publishAlive() {
 func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/fleet/join", func(w http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
-		if !decodeJSON(w, r, &req) {
+		if !DecodeJSON(w, r, &req) {
 			return
 		}
 		writeFleetJSON(w, http.StatusOK, c.Join(req))
 	})
 	mux.HandleFunc("POST /v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if !decodeJSON(w, r, &req) {
+		if !DecodeJSON(w, r, &req) {
 			return
 		}
 		writeFleetJSON(w, http.StatusOK, c.Heartbeat(req))
 	})
 	mux.HandleFunc("POST /v1/fleet/poll", func(w http.ResponseWriter, r *http.Request) {
 		var req PollRequest
-		if !decodeJSON(w, r, &req) {
+		if !DecodeJSON(w, r, &req) {
 			return
 		}
 		resp, err := c.Poll(req)
@@ -499,7 +500,7 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("POST /v1/fleet/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
-		if !decodeJSON(w, r, &req) {
+		if !DecodeJSON(w, r, &req) {
 			return
 		}
 		if err := c.Complete(req); err != nil {
@@ -510,7 +511,7 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("POST /v1/fleet/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec CampaignSpec
-		if !decodeJSON(w, r, &spec) {
+		if !DecodeJSON(w, r, &spec) {
 			return
 		}
 		st, err := c.Submit(spec)
@@ -537,12 +538,25 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	})
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeFleetError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
-		return false
+// MaxBodyBytes bounds every JSON body read off the network: request bodies
+// on the coordinator and daemon endpoints, and the coordinator's responses
+// on the worker side. Real messages are well under a kilobyte.
+const MaxBodyBytes = 1 << 20
+
+// DecodeJSON decodes a request body of at most MaxBodyBytes into v. On
+// failure it writes the error response — 413 for an oversize body, 400
+// otherwise — and reports false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeFleetError(w, status, fmt.Errorf("malformed request body: %w", err))
+	return false
 }
 
 func writeFleetJSON(w http.ResponseWriter, status int, v any) {

@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -356,4 +360,27 @@ func counterValue(t *testing.T, snap []telemetry.Sample, name string) float64 {
 	}
 	t.Fatalf("no sample %q in snapshot", name)
 	return 0
+}
+
+// TestWorkerBoundsResponseBodies: a coordinator answering with a body past
+// MaxBodyBytes fails the worker's round trip instead of being buffered.
+func TestWorkerBoundsResponseBodies(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"worker_id":"` + strings.Repeat("x", MaxBodyBytes) + `"}`))
+	}))
+	defer srv.Close()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: srv.URL,
+		Run: func(context.Context, Shard) (Counts, string, error) {
+			return Counts{}, "", nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp JoinResponse
+	if err := w.post("/v1/fleet/join", JoinRequest{Name: "w"}, &resp); err == nil {
+		t.Fatalf("oversize coordinator response decoded (worker id %d bytes), want an error", len(resp.WorkerID))
+	}
 }

@@ -335,5 +335,5 @@ func (w *Worker) post(path string, body, out any) error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("fleet: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.NewDecoder(io.LimitReader(resp.Body, MaxBodyBytes)).Decode(out)
 }

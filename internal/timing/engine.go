@@ -2,7 +2,6 @@ package timing
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/cache"
@@ -30,27 +29,20 @@ type pendInject struct {
 // Engine is the timing simulator. Build one with New, then replay kernel
 // traces with RunKernel; L2 and DRAM state persist across kernels of the
 // same application while L1s are invalidated at kernel boundaries. Not safe
-// for concurrent use — a replay may spawn shard goroutines internally, but
-// the Engine's public surface is single-caller.
+// for concurrent use.
 //
 // The engine is allocation-free in steady state: replaying the same (or a
 // same-shaped) kernel repeatedly on one engine performs zero heap
 // allocations per replay. Events are value types in a non-boxing
-// scheduler, copy-groups and load-ops are pooled on per-shard free-lists,
-// warp state lives in a reusable slab, and every auxiliary slice (CTA
-// queue, L2 waiter lists, DRAM completion scratch, message mailboxes) is
-// recycled across kernels.
+// scheduler, copy-groups and load-ops are pooled on free-lists, warp state
+// lives in a reusable slab, and every auxiliary slice (CTA queue, L2
+// waiter lists, DRAM completion scratch, pending messages) is recycled
+// across kernels.
 type Engine struct {
 	cfg arch.Config
-	// Shards partitions the machine's components (SM domains, channel
-	// domains, the CTA dispatcher) across this many event schedulers for
-	// each replay. 0 and 1 both run the single-threaded reference path —
-	// same window grid, no goroutines; values above 1 run one goroutine
-	// per shard, clamped to the SM count. Results are byte-identical at
-	// every setting (see the package doc's "Sharded replay" section);
-	// replays with an OnStore observer or pending InjectAt callbacks
-	// force the serial path so user callbacks never run concurrently.
-	// Mutate only between RunKernel calls.
+	// Deprecated: Shards is ignored; replay always runs on one event
+	// scheduler. It only keeps perfbench/ compiling and will be removed by
+	// the next benchmark PR.
 	Shards int
 	// Policy selects the warp scheduler (default GTO).
 	Policy SchedulerPolicy
@@ -75,9 +67,8 @@ type Engine struct {
 	// instrumented replay per application is how the fault layer captures
 	// the store-commit timeline (fault.Timeline) that decides whether a
 	// later store masks a transient flip. Observation only — attaching it
-	// does not perturb replay timing — but it pins the replay to the
-	// serial path, and like Trace it belongs on dedicated instrumented
-	// replays, not on golden-stat runs.
+	// does not perturb replay timing — but like Trace it belongs on
+	// dedicated instrumented replays, not on golden-stat runs.
 	OnStore func(blk arch.BlockAddr, at int64)
 
 	blockMisses map[arch.BlockAddr]uint64
@@ -87,25 +78,35 @@ type Engine struct {
 	sms   []*smState
 	chans []*chanState
 
-	// Shard fabric. lookahead is the conservative window length L: every
-	// cross-component message latency is at least L, so messages created
-	// in one window are never due before the next. The fabric is built
-	// lazily by ensureShards and rebuilt only when the shard count
-	// changes; components (and their L2/DRAM state) survive rebuilds.
+	// lookahead is the window length L: every cross-component message
+	// latency is at least L, so a message sent in one window is never due
+	// before the next (see the package doc's "Windowed replay" section).
 	lookahead int64
-	shards    []*shard
-	smOwner   []int32 // SM id -> owning shard
-	chOwner   []int32 // channel id -> owning shard
-	dispShard int32   // shard owning the CTA dispatcher
-	dispKey   int32   // the dispatcher's message source key
-	nexts     []int64 // per-shard earliest pending cycle, stride-padded
-	barrier   spinBarrier
-	active    *shard // serial shard of an in-flight replay (InjectAt target)
+	dispKey   int32 // the CTA dispatcher's message source key
 
-	now int64
+	sched   scheduler
+	now     int64 // replay clock; the end of the last kernel between replays
+	lastAt  int64 // cycle of the last event processed
+	running bool  // a replay is in flight (InjectAt posts straight to sched)
+
+	// pending holds messages sent but not yet delivered; msgSeq stamps
+	// their send order.
+	pending []message
+	msgSeq  uint64
+
+	// Free-lists for load-ops and copy-groups.
+	groupPool []*copyGroup
+	loadPool  []*loadOp
+
+	// Per-kernel event counters (KernelStats).
+	copyTx     uint64
+	mshrStalls uint64
+	cmpStalls  uint64
+
+	err error // first broken engine invariant of the replay
 
 	// Warp state slab: one slot per trace warp, indexed by the warp's
-	// trace index so concurrent shards write disjoint slots.
+	// trace index.
 	warpSlab []warpState
 
 	// injectFns holds InjectAt callbacks; evInject events carry an index
@@ -123,7 +124,7 @@ type Engine struct {
 	warpsPerCTA  int
 	maxCTAsPerSM int
 	ctaLiveWarps []int // live warps per CTA, indexed by CTA id
-	liveWarps    int   // warps installed by the serial initial fill
+	liveWarps    int   // warps installed and not yet retired
 }
 
 // New builds an engine for the configuration. plan may be nil (baseline, no
@@ -151,6 +152,7 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 		lookahead:         half,
 		dispKey:           int32(cfg.NumSMs + cfg.NumMemChannels),
 		blockMisses:       make(map[arch.BlockAddr]uint64),
+		pending:           make([]message, 0, 64),
 	}
 	for ch := 0; ch < cfg.NumMemChannels; ch++ {
 		l2, err := cache.New(cfg.L2)
@@ -192,84 +194,23 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 			eject:  nocPort{latency: rest},
 		})
 	}
+	// Pre-fill the free-lists past their high-water marks (bounded by
+	// outstanding L1 misses and resident warps) so the replay loop is
+	// allocation-free from the first kernel.
+	for i := 0; i < cfg.NumSMs*cfg.L1MSHRs; i++ {
+		e.groupPool = append(e.groupPool, &copyGroup{})
+	}
+	for i := 0; i < cfg.NumSMs*cfg.MaxWarpsPerSM; i++ {
+		e.loadPool = append(e.loadPool, &loadOp{})
+	}
 	return e, nil
-}
-
-// effectiveShards resolves the Shards knob for the next replay: clamped to
-// [1, NumSMs], and forced to 1 while an OnStore observer or un-fired
-// InjectAt callbacks are attached (user callbacks must not run
-// concurrently, and their ordering is defined against the serial path).
-func (e *Engine) effectiveShards() int {
-	n := e.Shards
-	if n < 1 {
-		n = 1
-	}
-	if n > e.cfg.NumSMs {
-		n = e.cfg.NumSMs
-	}
-	if e.OnStore != nil || e.injectLive > 0 || len(e.pendInjects) > 0 {
-		n = 1
-	}
-	return n
-}
-
-// ensureShards (re)builds the shard fabric for n shards. Components keep
-// their identity (and cross-kernel L2/DRAM state) across rebuilds; only
-// ownership, mailboxes, and free-lists are reassigned. Free-lists are
-// pre-filled past their expected high-water marks (bounded by outstanding
-// L1 misses and resident warps) so the replay loop reaches its
-// allocation-free steady state on the first kernel.
-func (e *Engine) ensureShards(n int) {
-	if len(e.shards) == n {
-		return
-	}
-	e.shards = make([]*shard, n)
-	e.smOwner = make([]int32, len(e.sms))
-	e.chOwner = make([]int32, len(e.chans))
-	e.nexts = make([]int64, n*nextsStride)
-	for i := range e.shards {
-		sh := &shard{id: int32(i), eng: e}
-		sh.outbox = make([][]message, n)
-		for d := range sh.outbox {
-			sh.outbox[d] = make([]message, 0, 64)
-		}
-		sh.inbox = make([]message, 0, 64)
-		e.shards[i] = sh
-	}
-	// Contiguous balanced partition: SM i and channel c go to shards
-	// i*n/NumSMs and c*n/NumChans — a pure function of the configuration,
-	// though results would be identical under any layout.
-	for i, s := range e.sms {
-		sh := e.shards[i*n/len(e.sms)]
-		s.sh = sh
-		e.smOwner[i] = sh.id
-		sh.sms = append(sh.sms, s)
-	}
-	for i, c := range e.chans {
-		sh := e.shards[i*n/len(e.chans)]
-		e.chOwner[i] = sh.id
-		sh.chans = append(sh.chans, c)
-	}
-	e.dispShard = 0
-	e.shards[0].dispatcher = true
-	for _, sh := range e.shards {
-		nsm := len(sh.sms)
-		for i := 0; i < nsm*e.cfg.L1MSHRs; i++ {
-			sh.groupPool = append(sh.groupPool, &copyGroup{})
-		}
-		for i := 0; i < nsm*e.cfg.MaxWarpsPerSM; i++ {
-			sh.loadPool = append(sh.loadPool, &loadOp{})
-		}
-	}
-	e.barrier.n = int32(n)
 }
 
 // InjectAt schedules fn to run exactly once when the replay reaches the
 // given cycle — the timing-engine injection hook the transient fault
 // model's semantics are defined against. The callback rides the ordinary
 // event scheduler, so it is totally ordered against every memory-system
-// event at that cycle (deterministically, by scheduling sequence); while
-// any callback is pending the replay runs on the serial path. A cycle
+// event at that cycle (deterministically, by scheduling sequence). A cycle
 // already in the past is clamped to the current cycle. Call before or
 // during a replay; a callback scheduled past the kernel's natural end
 // extends the replay until it fires, so pick cycles within the span of
@@ -282,17 +223,14 @@ func (e *Engine) InjectAt(cycle int64, fn func(now int64)) {
 	idx := len(e.injectFns)
 	e.injectFns = append(e.injectFns, fn)
 	e.injectLive++
-	if sh := e.active; sh != nil {
-		// Mid-replay registration (from another callback or an OnStore
-		// observer): post straight into the live serial schedule.
-		if cycle < sh.now {
-			cycle = sh.now
-		}
-		sh.post(cycle, event{kind: evInject, sm: int32(idx)})
-		return
-	}
 	if cycle < e.now {
 		cycle = e.now
+	}
+	if e.running {
+		// Mid-replay registration (from another callback or an OnStore
+		// observer): post straight into the live schedule.
+		e.post(cycle, event{kind: evInject, sm: int32(idx)})
+		return
 	}
 	e.pendInjects = append(e.pendInjects, pendInject{at: cycle, idx: idx})
 }
@@ -302,68 +240,30 @@ func (e *Engine) RunKernel(tr *simt.KernelTrace) (KernelStats, error) {
 	if tr == nil || len(tr.Warps) == 0 {
 		return KernelStats{}, fmt.Errorf("timing: empty trace")
 	}
-	e.ensureShards(e.effectiveShards())
 	e.resetForKernel(tr)
 	start := e.now
 
-	// Serial prologue, in deterministic order: pending injections first
-	// (lowest sequence numbers, as when they were registered up front),
-	// then the initial CTA fill in SM index order.
-	sh0 := e.shards[0]
+	// Prologue, in deterministic order: pending injections first (lowest
+	// sequence numbers, as when they were registered up front), then the
+	// initial CTA fill in SM index order.
 	for _, p := range e.pendInjects {
-		at := p.at
-		if at < start {
-			at = start
-		}
-		sh0.post(at, event{kind: evInject, sm: int32(p.idx)})
+		e.post(max(p.at, start), event{kind: evInject, sm: int32(p.idx)})
 	}
 	e.pendInjects = e.pendInjects[:0]
 	for _, s := range e.sms {
 		e.fillSM(s)
-		s.sh.scheduleStep(s, start)
+		e.scheduleStep(s, start)
 	}
 
-	if len(e.shards) == 1 {
-		e.active = sh0
-		sh0.runWindows(start)
-		e.active = nil
-	} else {
-		e.barrier.count.Store(0)
-		e.barrier.sense.Store(0)
-		var wg sync.WaitGroup
-		for _, sh := range e.shards[1:] {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.runWindows(start)
-			}(sh)
-		}
-		sh0.runWindows(start)
-		wg.Wait()
+	e.running = true
+	e.runWindows(start)
+	e.running = false
+	if e.err != nil {
+		return KernelStats{}, e.err
 	}
-
-	end := start
-	live := e.liveWarps
-	for _, sh := range e.shards {
-		if sh.err != nil {
-			return KernelStats{}, sh.err
-		}
-		if sh.lastAt > end {
-			end = sh.lastAt
-		}
-		live += sh.liveDelta
-	}
-	e.now = end
-	if live != 0 {
-		return KernelStats{}, fmt.Errorf("timing: kernel %q deadlocked with %d live warps", tr.Kernel, live)
-	}
-	if e.TrackBlockMisses {
-		for _, sh := range e.shards {
-			for blk, n := range sh.blockMisses {
-				e.blockMisses[blk] += n
-			}
-			clear(sh.blockMisses)
-		}
+	e.now = max(e.lastAt, start)
+	if e.liveWarps != 0 {
+		return KernelStats{}, fmt.Errorf("timing: kernel %q deadlocked with %d live warps", tr.Kernel, e.liveWarps)
 	}
 	ks := e.collectStats(tr.Kernel, e.now-start)
 	e.publishTelemetry(ks, start)
@@ -431,30 +331,21 @@ func (e *Engine) resetForKernel(tr *simt.KernelTrace) {
 		s.instructions = 0
 		s.requests = 0
 	}
-	for _, sh := range e.shards {
-		sh.sched.reset()
-		sh.now = e.now
-		sh.lastAt = e.now
-		sh.msgSeq = 0
-		sh.copyTx, sh.mshrStalls, sh.cmpStalls = 0, 0, 0
-		sh.liveDelta = 0
-		sh.err = nil
-		sh.inbox = sh.inbox[:0]
-		for d := range sh.outbox {
-			sh.outbox[d] = sh.outbox[d][:0]
-		}
-	}
+	e.sched.reset()
+	e.lastAt = e.now
+	e.pending = e.pending[:0]
+	e.msgSeq = 0
+	e.copyTx, e.mshrStalls, e.cmpStalls = 0, 0, 0
+	e.err = nil
 }
 
 func (e *Engine) collectStats(kernel string, cycles int64) KernelStats {
 	ks := KernelStats{
-		Kernel: kernel,
-		Cycles: cycles,
-	}
-	for _, sh := range e.shards {
-		ks.CopyTransactions += sh.copyTx
-		ks.MSHRStalls += sh.mshrStalls
-		ks.CompareStalls += sh.cmpStalls
+		Kernel:           kernel,
+		Cycles:           cycles,
+		CopyTransactions: e.copyTx,
+		MSHRStalls:       e.mshrStalls,
+		CompareStalls:    e.cmpStalls,
 	}
 	for _, s := range e.sms {
 		ks.L1.Add(s.l1.Stats)
@@ -487,9 +378,8 @@ func (e *Engine) ctaLiveCount(cta int) int {
 }
 
 // installCTA makes one CTA resident on an SM, installing its warps from
-// the slab (slots are indexed by trace warp index, so shards installing on
-// different SMs write disjoint slab regions). Returns the number of live
-// warps installed; a fully empty CTA releases its slot again.
+// the slab (slots are indexed by trace warp index). Returns the number of
+// live warps installed; a fully empty CTA releases its slot again.
 func (e *Engine) installCTA(s *smState, cta int, now int64) int {
 	s.residentCTAs++
 	live := 0
@@ -522,11 +412,4 @@ func (e *Engine) fillSM(s *smState) {
 		e.ctaHead++
 		e.liveWarps += e.installCTA(s, cta, e.now)
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

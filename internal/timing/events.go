@@ -7,7 +7,7 @@
 // copy transactions, complete lazily (detection) or after all copies arrive
 // (correction), and occupy entries of the bounded pending-compare buffer.
 //
-// An Engine is single-threaded, but it treats the traces it replays as
+// An Engine is single-threaded, and it treats the traces it replays as
 // strictly read-only, so any number of engines may replay the same
 // captured traces concurrently — the experiments package relies on this
 // to fan its (scheme, level) sweeps over a worker pool.
@@ -32,35 +32,28 @@
 // entry, and the pop path's unified (at, seq) comparison preserves the
 // exact global order of a single ordered heap.
 //
-// # Sharded replay
+// # Windowed replay
 //
-// The engine no longer runs one global scheduler. The machine is split
-// into components — one domain per SM (core, L1, MSHRs, its NoC inject
-// and eject ports), one domain per memory channel (L2 bank, DRAM
+// The machine is modelled as components — one per SM (core, L1, MSHRs,
+// its NoC inject and eject ports), one per memory channel (L2 bank, DRAM
 // controller, its NoC ingress and egress ports), and a CTA dispatcher —
-// and each component's events live on the scheduler of the shard that
-// owns it. All cross-component interaction travels as timestamped
-// messages (L2 requests, fill responses, CTA requests and grants) whose
-// network hop latencies are at least the engine's lookahead window
-// L = max(1, InterconnectLatency/2). Replay proceeds window by window on
-// a fixed cycle grid anchored at the kernel start: at each window barrier
-// every shard drains the messages due inside the window — sorted by
-// (due, source component, source sequence) — converts them into local
-// events, and then simulates the window's cycles independently. Because
-// every message is created at least one full window before it is due,
-// the barrier exchange is conservative: no shard can ever receive a
-// message for a cycle it has already simulated.
+// that interact only through timestamped messages (L2 requests, fill
+// responses, CTA requests and grants). Every message's network hop
+// latency is at least the engine's lookahead L = max(1,
+// InterconnectLatency/2). Replay advances window by window on a fixed
+// cycle grid of stride L anchored at the kernel start: at each window
+// boundary the engine delivers every pending message in canonical
+// (send cycle, source component, send order) order, reserving the
+// receiver-side port slots, and then processes the window's events.
+// Because a message is sent at least one window before it is due, no
+// delivery ever lands in a cycle already simulated.
 //
-// The window grid, the message sort order, and the per-component event
-// order are all functions of the configuration and the trace alone —
-// never of the shard count or of real-time scheduling — so KernelStats,
-// telemetry counters, and golden divergence behavior are byte-identical
-// at any Engine.Shards setting. The golden-stats gate in
-// internal/experiments pins that contract at shards {1, 2, 4, 8} across
-// the full workload suite. Components that share a shard interleave
-// arbitrarily within a window, but they touch disjoint state (pooled
-// objects are interchangeable and generation-guarded; shard counters are
-// commutative sums), so co-location cannot be observed in results.
+// The window grid and the delivery order are part of the replay's
+// semantics, not an implementation detail: they decide the order in which
+// contending requests claim L2 ingress and SM eject ports, and so the
+// golden KernelStats in internal/experiments/testdata depend on them. A
+// direct-post engine that skips the windows produces different (equally
+// plausible) cycle counts and miss splits.
 //
 // # Fault-injection hook
 //

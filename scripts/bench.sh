@@ -8,8 +8,8 @@
 # (BenchmarkDcrmdHotServe cold/warm/dup) into BENCH_serve.json (or $3),
 # and the campaign-fabric scaling benchmarks (BenchmarkFleetCampaign at 1
 # and 3 workers) into BENCH_fleet.json (or $4), and the checkpoint
-# artifact cold-start benchmarks (BenchmarkColdStart cold/prewarmed/
-# secondprocess) into BENCH_coldstart.json (or $5).
+# artifact cold-start benchmarks (BenchmarkColdStart cold/secondprocess)
+# into BENCH_coldstart.json (or $5).
 # The campaign file also carries frozen historical measurements: the
 # pre-fork clone-path numbers under the *PreFork names and the pre-batch
 # one-run-per-replay fork-path numbers under the *PreBatch names, so
@@ -45,15 +45,15 @@ FROZEN_ENTRIES='    {"name": "BenchmarkCampaignFig6PreFork", "frozen": true, "it
     {"name": "BenchmarkCampaignFig9PreBatch", "frozen": true, "iterations": 0, "ns_per_op": 37191367, "bytes_per_op": 717144, "allocs_per_op": 729},'
 
 #   *PreShard: the single-scheduler (pre-windowed-replay) timing engine,
-#              measured at the commit that sharded the event engine.
+#              measured at the commit that introduced windowed replay.
 # (Same benchmark configurations, -benchtime 1s, single-core host.)
 TIMING_FROZEN_ENTRIES='    {"name": "BenchmarkRunKernelPreShard", "frozen": true, "iterations": 0, "ns_per_op": 2440147, "bytes_per_op": 0, "allocs_per_op": 0},
     {"name": "BenchmarkRunKernelDetectionPreShard", "frozen": true, "iterations": 0, "ns_per_op": 4255882, "bytes_per_op": 0, "allocs_per_op": 0},
     {"name": "BenchmarkRunKernelCorrectionPreShard", "frozen": true, "iterations": 0, "ns_per_op": 9522676, "bytes_per_op": 0, "allocs_per_op": 0},'
 
 # Host metadata recorded in every baseline: parallel-scaling ratios (fleet
-# workers, replay shards) only reproduce on a comparable host, so the
-# compare script reads the recorded core count before gating on them.
+# workers) only reproduce on a comparable host, so the compare script
+# reads the recorded core count before gating on them.
 CORES=$(nproc 2>/dev/null || echo 1)
 MAXPROCS="${GOMAXPROCS:-$CORES}"
 GO_VERSION=$(go version | { read -r _ _ v _; echo "$v"; })
@@ -87,7 +87,7 @@ render_json() {
 }
 
 raw=$(go test ./internal/timing -run '^$' \
-  -bench 'BenchmarkRunKernel(Detection|Correction|Shards)?$' \
+  -bench 'BenchmarkRunKernel(Detection|Correction)?$' \
   -benchmem -benchtime "$BENCHTIME")
 echo "$raw" >&2
 render_json "$raw" "$BENCHTIME" "$TIMING_FROZEN_ENTRIES" > "$OUT"
@@ -119,10 +119,8 @@ render_json "$raw" "$BENCHTIME" > "$FLEET_OUT"
 echo "wrote $FLEET_OUT" >&2
 
 # Checkpoint artifact cold start: one op warms a four-checkpoint campaign
-# session's full artifact set — serially (cold), fanned over the worker
-# pool (prewarmed), and from the disk tier in a fresh process
-# (secondprocess). The prewarmed/cold ratio reflects min(units, cores);
-# the compare script gates it only on multi-core hosts.
+# session's full artifact set — computed into an empty store (cold), and
+# from the disk tier in a fresh process (secondprocess).
 raw=$(go test ./internal/experiments -run '^$' \
   -bench 'BenchmarkColdStart' \
   -benchmem -benchtime "$BENCHTIME")
