@@ -134,9 +134,9 @@ func WithScale(s WorkloadScale) Option {
 	return func(c *experiments.SuiteConfig) { c.Scale = s }
 }
 
-// WithWorkers bounds the suite-level experiment fan-out (0, the default,
-// means GOMAXPROCS). Results are identical at any worker count; only
-// wall-clock time changes.
+// WithWorkers bounds the suite-level experiment fan-out, which also runs
+// every Workload.Campaign (0, the default, means GOMAXPROCS). Results are
+// identical at any worker count; only wall-clock time changes.
 func WithWorkers(n int) Option {
 	return func(c *experiments.SuiteConfig) { c.Workers = n }
 }
@@ -293,7 +293,8 @@ type CampaignResult struct {
 	ConfidencePct float64
 }
 
-// Campaign runs a fault-injection campaign against the workload.
+// Campaign runs a fault-injection campaign against the workload on the
+// library's worker pool (see WithWorkers).
 func (w *Workload) Campaign(cfg CampaignConfig) (CampaignResult, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 1000

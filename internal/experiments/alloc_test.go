@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -8,10 +9,11 @@ import (
 )
 
 // TestCampaignAllocRegression gates the campaign hot path's per-run heap
-// allocations against maxCampaignAllocsPerRun (alloc_budget_*_test.go), on
-// both the unbatched and the batched executor, and on the suite pool
-// (runCampaigns), where every batch claim is its own CampaignRange call
-// and the per-worker rngs must be reused across calls.
+// allocations against maxCampaignAllocsPerRun (alloc_budget_*_test.go).
+// Batches of 8 and 64 run on the suite pool (runCampaigns), where each
+// batch claim is its own serial range call and the pooled rngs must be
+// reused across calls; batch 1 gates the per-run reference path, RunOne,
+// under the serial executor.
 func TestCampaignAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
@@ -28,38 +30,34 @@ func TestCampaignAllocRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := fault.StuckAt{BitsPerWord: 2, Blocks: 1}
+	// An interface value, boxed once here: the per-run closure below would
+	// otherwise box the struct on every RunOne call.
+	var model fault.Model = fault.StuckAt{BitsPerWord: 2, Blocks: 1}
 	const runs = 200
-	for _, tc := range []struct {
-		batch int
-		pool  bool
-	}{{1, false}, {8, false}, {8, true}, {64, true}} {
+	for _, batch := range []int{1, 8, 64} {
 		var res fault.Result
 		var rerr error
 		allocs := testing.AllocsPerRun(5, func() {
-			c := fault.Campaign{Runs: runs, Seed: 7, Workers: 1, Batch: tc.batch}
-			if !tc.pool {
-				res, rerr = cp.Campaign(c, model, sel)
+			c := fault.Campaign{Runs: runs, Seed: 7, Batch: batch}
+			if batch == 1 {
+				res, rerr = c.Execute(func(_ int, rng *rand.Rand) (fault.Outcome, error) {
+					return cp.RunOne(rng, model, sel)
+				})
 				return
 			}
-			var merged []fault.Result
-			merged, rerr = s.runCampaigns("alloc: campaigns", []campaignCell{{
-				cp: cp, model: model, sel: sel, c: c, end: runs, what: "alloc"}})
-			if rerr == nil {
-				res = merged[0]
-			}
+			res, rerr = cp.Campaign(c, model, sel)
 		})
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
 		if res.Runs != runs {
-			t.Fatalf("batch=%d pool=%v ran %d runs, want %d", tc.batch, tc.pool, res.Runs, runs)
+			t.Fatalf("batch=%d ran %d runs, want %d", batch, res.Runs, runs)
 		}
 		perRun := allocs / runs
-		t.Logf("batch=%d pool=%v: %.2f allocs per run", tc.batch, tc.pool, perRun)
+		t.Logf("batch=%d: %.2f allocs per run", batch, perRun)
 		if perRun > maxCampaignAllocsPerRun {
-			t.Errorf("batch=%d pool=%v campaign allocates %.2f per run, budget %.1f",
-				tc.batch, tc.pool, perRun, maxCampaignAllocsPerRun)
+			t.Errorf("batch=%d campaign allocates %.2f per run, budget %.1f",
+				batch, perRun, maxCampaignAllocsPerRun)
 		}
 	}
 }

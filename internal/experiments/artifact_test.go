@@ -28,7 +28,7 @@ func artifactCampaign(t *testing.T, s *Suite) fault.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp.Campaign(fault.Campaign{Runs: 40, Seed: 9, Workers: 2, Batch: 8},
+	res, err := cp.Campaign(fault.Campaign{Runs: 40, Seed: 9, Batch: 8},
 		fault.Transient{Flips: 2, Blocks: 1}, sel)
 	if err != nil {
 		t.Fatal(err)

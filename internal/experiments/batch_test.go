@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -27,21 +26,18 @@ func wholeImageSelector(t *testing.T, cp *Checkpoint) fault.Selector {
 }
 
 // perRunOutcomes collects each run's verdict (not just the aggregate
-// counts) through the real executor, on the per-run or the batched path.
+// counts) through the serial executor, on the per-run or the batched path.
 func perRunOutcomes(t *testing.T, cp *Checkpoint, c fault.Campaign, model fault.Model, sel fault.Selector, batched bool) []fault.Outcome {
 	t.Helper()
 	outs := make([]fault.Outcome, c.Runs)
 	var err error
 	if batched {
-		var mu sync.Mutex
 		_, err = c.ExecuteRangeBatched(0, c.Runs, func(lo int, rngs []*rand.Rand) ([]fault.Outcome, error) {
 			os, err := cp.RunBatch(lo, rngs, model, sel)
 			if err != nil {
 				return nil, err
 			}
-			mu.Lock()
 			copy(outs[lo:], os)
-			mu.Unlock()
 			return os, nil
 		})
 	} else {
@@ -61,10 +57,11 @@ func perRunOutcomes(t *testing.T, cp *Checkpoint, c fault.Campaign, model fault.
 }
 
 // TestBatchedRunOutcomeParity is the batched path's run-granular property
-// test: under randomized campaign shapes (seed, batch size, worker count),
+// test: under randomized campaign shapes (seed, batch size, pool width),
 // every fault-model family × scheme must produce the exact per-run verdict
-// vector the per-run path produces — not merely equal aggregate counts.
-// Run under -race in CI via the fork-parity gate's package.
+// vector the per-run path produces — not merely equal aggregate counts —
+// and the same campaign split into units on a suite pool must tally
+// exactly those verdicts. Run under -race in CI.
 func TestBatchedRunOutcomeParity(t *testing.T) {
 	s := testSuite(t)
 	prng := rand.New(rand.NewSource(20260808))
@@ -99,7 +96,7 @@ func TestBatchedRunOutcomeParity(t *testing.T) {
 				seed := prng.Int63()
 				batch := []int{2, 3, 5, 8, 64}[prng.Intn(5)]
 				workers := 1 + prng.Intn(3)
-				c := fault.Campaign{Runs: runs, Seed: seed, Workers: workers, Batch: batch}
+				c := fault.Campaign{Runs: runs, Seed: seed, Batch: batch}
 
 				want := perRunOutcomes(t, cp, c, model, sel, false)
 				got := perRunOutcomes(t, cp, c, model, sel, true)
@@ -108,6 +105,14 @@ func TestBatchedRunOutcomeParity(t *testing.T) {
 						t.Errorf("%s %v L%d %s seed=%d batch=%d workers=%d: run %d = %v, per-run path says %v",
 							app, scheme, level, spec, seed, batch, workers, i, got[i], want[i])
 					}
+				}
+				tally, err := c.Execute(func(i int, _ *rand.Rand) (fault.Outcome, error) { return want[i], nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pooled := poolCampaign(t, workers, cp, c, model, sel); pooled != tally {
+					t.Errorf("%s %v L%d %s seed=%d batch=%d workers=%d: pooled campaign %+v, per-run tally %+v",
+						app, scheme, level, spec, seed, batch, workers, pooled, tally)
 				}
 			}
 		}
@@ -143,8 +148,8 @@ func TestBatchTelemetryReconciliation(t *testing.T) {
 	}
 	sel := wholeImageSelector(t, cp)
 	const runs = 40
-	c := s.campaign(runs, 99, 8)
-	c.Workers = 2
+	c := s.campaign(runs, 99)
+	c.Batch = 8
 	res, err := cp.Campaign(c, fault.StuckAt{BitsPerWord: 3, Blocks: 1}, sel)
 	if err != nil {
 		t.Fatal(err)

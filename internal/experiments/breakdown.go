@@ -28,9 +28,6 @@ type BreakdownConfig struct {
 	// hot level. Default: detection and detection+correction (the
 	// unprotected baseline is always included).
 	Schemes []core.Scheme
-	// Batch overrides the campaign batch size (0 = the suite default;
-	// 1 disables batching). Results are byte-identical at any batch size.
-	Batch int
 }
 
 func (c BreakdownConfig) withDefaults() BreakdownConfig {
@@ -98,8 +95,7 @@ func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 			Field("seed", cfg.Seed).
 			Field("models", fault.ModelsKey(cfg.Models)).
 			Field("apps", cfg.Apps).
-			Field("schemes", cfg.Schemes).
-			Field("batch", s.batchFor(cfg.Batch)),
+			Field("schemes", cfg.Schemes),
 		func() ([]BreakdownCell, error) { return faultModelBreakdown(s, cfg) })
 }
 
@@ -161,12 +157,12 @@ func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 			out = append(out, BreakdownCell{App: c.app, Scheme: c.scheme, Level: c.level, Model: fault.Info(model)})
 			cells = append(cells, campaignCell{
 				cp: cps[i], model: model, sel: sels[i],
-				c: s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), end: cfg.Runs,
+				c: s.campaign(cfg.Runs, cfg.Seed), end: cfg.Runs,
 				what: fmt.Sprintf("breakdown %s %v L%d %v", c.app, c.scheme, c.level, model),
 			})
 		}
 	}
-	res, err := s.runCampaigns("breakdown: campaigns", cells)
+	res, err := s.runCampaigns(s.ctx, "breakdown: campaigns", cells)
 	if err != nil {
 		return nil, err
 	}

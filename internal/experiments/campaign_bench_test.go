@@ -13,7 +13,8 @@ import (
 // count so one op is one campaign, not one run. BENCH_campaign.json
 // records the committed baseline (plus the pre-fork clone-path numbers
 // under the *PreFork names); scripts/bench.sh regenerates it and CI
-// compares warn-only via scripts/bench_compare.sh.
+// compares warn-only via scripts/bench_compare.sh. Both benchmarks run
+// on a one-worker suite pool, so one op is one serial campaign.
 const benchCampaignRuns = 100
 
 // benchHotSelector builds the Fig. 6 hot-block selector for an app the
@@ -49,7 +50,7 @@ func benchHotSelector(b *testing.B, s *Suite, name string) *fault.SetSelector {
 // (2-bit/1-block faults, the figure's first configuration) — the per-cell
 // cost of the fig6 grid, on the fork + checkpoint fast path.
 func BenchmarkCampaignFig6(b *testing.B) {
-	s := testSuite(b)
+	s := poolSuite(b, 1)
 	sel := benchHotSelector(b, s, "P-BICG")
 	model := fault.StuckAt{BitsPerWord: 2, Blocks: 1}
 	cp, err := s.Checkpoint("P-BICG", core.None, 0)
@@ -61,7 +62,7 @@ func BenchmarkCampaignFig6(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := cp.Campaign(fault.Campaign{Runs: benchCampaignRuns, Seed: 7, Workers: 1}, model, sel)
+		res, err := cp.Campaign(fault.Campaign{Runs: benchCampaignRuns, Seed: 7}, model, sel)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func BenchmarkCampaignFig6(b *testing.B) {
 // of the fig9 sweep once its (app, scheme, level) checkpoint is memoized,
 // as it is for every fault model after a sweep's first.
 func BenchmarkCampaignFig9(b *testing.B) {
-	s := testSuite(b)
+	s := poolSuite(b, 1)
 	baseApp, err := s.App("P-BICG")
 	if err != nil {
 		b.Fatal(err)
@@ -101,7 +102,7 @@ func BenchmarkCampaignFig9(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := cp.Campaign(fault.Campaign{Runs: benchCampaignRuns, Seed: 11, Workers: 1}, model, sel)
+		res, err := cp.Campaign(fault.Campaign{Runs: benchCampaignRuns, Seed: 11}, model, sel)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -280,8 +280,9 @@ func (cp *Checkpoint) getFork() *mem.Memory {
 // (bit-identical to the golden run, so Masked without executing), otherwise
 // execute functionally and classify by streaming comparison with the golden
 // post-run image. Safe for concurrent use; the rng carries all per-run
-// randomness, so results are bit-identical to the legacy clone-per-run path
-// at any worker count.
+// randomness, so results are bit-identical to the legacy clone-per-run path.
+// Campaigns execute through RunBatch; RunOne is the per-run reference the
+// batched path is checked against.
 func (cp *Checkpoint) RunOne(rng *rand.Rand, model fault.Model, sel fault.Selector) (fault.Outcome, error) {
 	if err := cp.ensureGolden(); err != nil {
 		return 0, err
@@ -331,26 +332,34 @@ func (cp *Checkpoint) RunOne(rng *rand.Rand, model fault.Model, sel fault.Select
 }
 
 // Campaign executes c against the checkpoint under the given fault model
-// and block selector. A batch size above 1 (the default — see
-// fault.Campaign.Batch) routes through the batched group-replay path;
-// outcomes are byte-identical either way.
+// and block selector, as batch-claim units on the suite pool (see
+// runCampaigns); outcomes are byte-identical at any batch size and worker
+// count.
 func (cp *Checkpoint) Campaign(c fault.Campaign, model fault.Model, sel fault.Selector) (fault.Result, error) {
 	return cp.CampaignRange(c, 0, c.Runs, model, sel)
 }
 
 // CampaignRange executes only the run indices in [start, end) of c — one
-// fleet shard — against the checkpoint, batching claims internally like
-// Campaign. Each run derives its random stream from (c.Seed, index)
-// exactly like Campaign, so merging every shard of a partition with
-// fault.Result.Add reproduces the full campaign's result byte for byte,
-// regardless of each shard's batch size.
+// fleet shard — against the checkpoint, on the suite pool like Campaign.
+// Each run derives its random stream from (c.Seed, index) exactly like
+// Campaign, so merging every shard of a partition with fault.Result.Add
+// reproduces the full campaign's result byte for byte.
 func (cp *Checkpoint) CampaignRange(c fault.Campaign, start, end int, model fault.Model, sel fault.Selector) (fault.Result, error) {
-	if c.BatchSize() > 1 {
-		return c.ExecuteRangeBatched(start, end, func(lo int, rngs []*rand.Rand) ([]fault.Outcome, error) {
-			return cp.RunBatch(lo, rngs, model, sel)
-		})
+	s := cp.suite
+	res, err := s.runCampaigns(s.ctx, "campaign", []campaignCell{{
+		cp: cp, model: model, sel: sel, c: c, start: start, end: end,
+		what: fmt.Sprintf("campaign %s [%d, %d)", cp.App.Name, start, end),
+	}})
+	if err != nil {
+		return fault.Result{}, err
 	}
-	return c.ExecuteRange(start, end, func(_ int, rng *rand.Rand) (fault.Outcome, error) {
-		return cp.RunOne(rng, model, sel)
+	return res[0], nil
+}
+
+// runRange is one pool unit's serial executor: the runs [start, end) of c
+// in claims of c.BatchSize() runs, each through RunBatch.
+func (cp *Checkpoint) runRange(c fault.Campaign, start, end int, model fault.Model, sel fault.Selector) (fault.Result, error) {
+	return c.ExecuteRangeBatched(start, end, func(lo int, rngs []*rand.Rand) ([]fault.Outcome, error) {
+		return cp.RunBatch(lo, rngs, model, sel)
 	})
 }

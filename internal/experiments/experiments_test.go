@@ -30,6 +30,43 @@ func testSuite(t testing.TB) *Suite {
 	return suiteVal
 }
 
+// poolSuites caches one suite per pool width for poolSuite.
+var (
+	poolSuitesMu sync.Mutex
+	poolSuites   = make(map[int]*Suite)
+)
+
+// poolSuite returns a suite whose pool has the given width, built once per
+// width. Its pool can run work over any suite's checkpoints, so tests vary
+// the worker count without rebuilding testSuite's checkpoints per width.
+func poolSuite(t testing.TB, workers int) *Suite {
+	t.Helper()
+	poolSuitesMu.Lock()
+	defer poolSuitesMu.Unlock()
+	s := poolSuites[workers]
+	if s == nil {
+		var err error
+		if s, err = NewSuite(SuiteConfig{NNTrainSamples: 60, Workers: workers}); err != nil {
+			t.Fatalf("NewSuite: %v", err)
+		}
+		poolSuites[workers] = s
+	}
+	return s
+}
+
+// poolCampaign runs the whole campaign c against cp as batch-claim units
+// on a suite pool of the given width.
+func poolCampaign(t testing.TB, workers int, cp *Checkpoint, c fault.Campaign, model fault.Model, sel fault.Selector) fault.Result {
+	t.Helper()
+	s := poolSuite(t, workers)
+	res, err := s.runCampaigns(s.ctx, "test: campaign", []campaignCell{{
+		cp: cp, model: model, sel: sel, c: c, end: c.Runs, what: cp.App.Name}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
 func TestFig2Data(t *testing.T) {
 	rows := Fig2L2Trend()
 	if len(rows) < 10 {

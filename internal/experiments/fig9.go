@@ -29,9 +29,6 @@ type Fig9Config struct {
 	// Schemes overrides the schemes swept. Default: detection and
 	// detection+correction (the unprotected baseline is always included).
 	Schemes []core.Scheme
-	// Batch overrides the campaign batch size (0 = the suite default;
-	// 1 disables batching). Results are byte-identical at any batch size.
-	Batch int
 }
 
 func (c Fig9Config) withDefaults() Fig9Config {
@@ -190,12 +187,12 @@ func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
 			out = append(out, Fig9Cell{App: c.app, Scheme: c.scheme, Level: c.level, Model: fault.Info(model)})
 			cells = append(cells, campaignCell{
 				cp: cps[i], model: model, sel: sels[i],
-				c: s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), end: cfg.Runs,
+				c: s.campaign(cfg.Runs, cfg.Seed), end: cfg.Runs,
 				what: fmt.Sprintf("fig9 %s %v L%d %v", c.app, c.scheme, c.level, model),
 			})
 		}
 	}
-	res, err := s.runCampaigns("fig9: campaigns", cells)
+	res, err := s.runCampaigns(s.ctx, "fig9: campaigns", cells)
 	if err != nil {
 		return nil, err
 	}

@@ -220,9 +220,6 @@ type Fig6Config struct {
 	// Apps restricts the application set. Default: the evaluated eight of
 	// Table II.
 	Apps []string
-	// Batch overrides the campaign batch size (0 = the suite default;
-	// 1 disables batching). Results are byte-identical at any batch size.
-	Batch int
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
@@ -292,13 +289,13 @@ func fig6HotVsRest(s *Suite, cfg Fig6Config) ([]Fig6Cell, error) {
 				out = append(out, Fig6Cell{App: name, Space: space, Model: fault.Info(model)})
 				cells = append(cells, campaignCell{
 					cp: cps[i], model: model, sel: sels[i][j],
-					c: s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), end: cfg.Runs,
+					c: s.campaign(cfg.Runs, cfg.Seed), end: cfg.Runs,
 					what: fmt.Sprintf("fig6 %s/%s/%v", name, space, model),
 				})
 			}
 		}
 	}
-	res, err := s.runCampaigns("fig6: campaigns", cells)
+	res, err := s.runCampaigns(s.ctx, "fig6: campaigns", cells)
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,11 @@ import (
 
 // TestCampaignForkParity is the fast-path equivalence contract: for every
 // application and scheme, a campaign over the fork + checkpoint path must
-// produce bit-identical Results to the legacy clone-per-run path — at one
-// worker and at sixteen, unbatched (Batch 1), partially batched (8), and
-// at the full bit-parallel width (64). This also serves as the
-// serial-vs-parallel campaign determinism gate (run under -race in CI).
+// produce bit-identical Results to the legacy clone-per-run path — on a
+// suite pool of one worker and of sixteen, unbatched (Batch 1), partially
+// batched (8), and at the full bit-parallel width (64). This also serves
+// as the serial-vs-parallel campaign determinism gate (run under -race in
+// CI).
 func TestCampaignForkParity(t *testing.T) {
 	s := testSuite(t)
 	const (
@@ -57,7 +58,7 @@ func TestCampaignForkParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := fault.Campaign{Runs: runs, Seed: seed, Workers: 1}.Execute(
+			legacy, err := fault.Campaign{Runs: runs, Seed: seed}.Execute(
 				func(_ int, rng *rand.Rand) (fault.Outcome, error) {
 					clone := cp.App.Mem.Clone()
 					if _, err := fault.Inject(clone, rng, model, sel, nil); err != nil {
@@ -71,10 +72,7 @@ func TestCampaignForkParity(t *testing.T) {
 
 			for _, workers := range []int{1, 16} {
 				for _, batch := range []int{1, 8, 64} {
-					got, err := cp.Campaign(fault.Campaign{Runs: runs, Seed: seed, Workers: workers, Batch: batch}, model, sel)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := poolCampaign(t, workers, cp, fault.Campaign{Runs: runs, Seed: seed, Batch: batch}, model, sel)
 					if got != legacy {
 						t.Errorf("%s %v L%d workers=%d batch=%d: fork path %+v != legacy clone path %+v",
 							name, scheme, level, workers, batch, got, legacy)

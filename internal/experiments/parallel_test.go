@@ -121,117 +121,100 @@ func TestParallelMatchesSerial(t *testing.T) {
 	multiClaimParity(t, serial, parallel)
 }
 
-// unsplitCampaign runs one cell's campaign the way a lone caller would:
-// one fault.Campaign over [0, runs) with its own nested workers, no unit
-// split. The multi-claim parity test compares runCampaigns' merged units
-// against it.
-func unsplitCampaign(t *testing.T, s *Suite, app string, scheme core.Scheme, level int,
-	sel func(*Checkpoint) (fault.Selector, error), model fault.Model, runs int, seed int64, batch int) fault.Result {
-	t.Helper()
-	cp, err := s.Checkpoint(app, scheme, level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl, err := sel(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cp.Campaign(fault.Campaign{Runs: runs, Seed: seed, Workers: 8, Batch: batch}, model, sl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // multiClaimParity is TestParallelMatchesSerial for campaigns of several
 // batch claims (Runs > Batch), the case where runCampaigns splits one cell
-// into units that different pool workers execute: Fig. 6, Fig. 9, the
-// breakdown and a RunShard range spanning several units must agree at
-// Workers 1 and 8, and every merged cell must equal the same campaign run
-// unsplit.
+// into units that different pool workers execute. Batch-8 cells shaped like
+// Fig. 6 (hot and rest sets), Fig. 9 (miss-weighted, protected) and the
+// breakdown (whole image, stuck-at and transient), plus a range that starts
+// and ends mid-claim, must agree at Workers 1 and 8 and equal the same
+// range run unsplit by the serial executor. A RunShard range spanning
+// several default-width claims checks the fleet path the same way.
 func multiClaimParity(t *testing.T, serial, parallel *Suite) {
 	t.Helper()
-	const runs, batch = 40, 8 // five claims per cell
-	models := []fault.Model{fault.StuckAt{BitsPerWord: 2, Blocks: 1}, fault.StuckAt{BitsPerWord: 4, Blocks: 5}}
-
-	f6cfg := Fig6Config{Runs: runs, Batch: batch, Apps: []string{"P-BICG"}, Models: models}
-	f6s, err := Fig6HotVsRest(serial, f6cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f6p, err := Fig6HotVsRest(parallel, f6cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f6s, f6p) {
-		t.Error("Fig6: parallel multi-claim results differ from serial")
-	}
-	for i, c := range f6s {
-		space := c.Space
-		want := unsplitCampaign(t, serial, c.App, core.None, 0, func(*Checkpoint) (fault.Selector, error) {
-			blocks, err := serial.spaceBlocks(c.App, space)
+	const runs, batch = 40, 8 // five claims per whole-range cell
+	stuck2 := fault.StuckAt{BitsPerWord: 2, Blocks: 1}
+	stuck4 := fault.StuckAt{BitsPerWord: 4, Blocks: 5}
+	space := func(name string) func(*Suite, *Checkpoint) (fault.Selector, error) {
+		return func(s *Suite, cp *Checkpoint) (fault.Selector, error) {
+			blocks, err := s.spaceBlocks(cp.App.Name, name)
 			if err != nil {
 				return nil, err
 			}
 			return fault.NewSetSelector(blocks)
-		}, models[i%len(models)], runs, 7, batch)
-		if c.Result != want {
-			t.Errorf("Fig6 %s/%s/%s: merged units %+v, unsplit campaign %+v", c.App, c.Space, c.Model.Label, c.Result, want)
 		}
 	}
-
-	f9cfg := Fig9Config{Runs: runs, Batch: batch, Apps: []string{"P-BICG"}, Models: models[1:]}
-	f9s, err := Fig9Resilience(serial, f9cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f9p, err := Fig9Resilience(parallel, f9cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f9s, f9p) {
-		t.Error("Fig9: parallel multi-claim results differ from serial")
-	}
-	for _, c := range f9s {
-		want := unsplitCampaign(t, serial, c.App, c.Scheme, c.Level,
-			(*Checkpoint).MissSelector, models[1], runs, 11, batch)
-		if c.Result != want {
-			t.Errorf("Fig9 %s %v L%d: merged units %+v, unsplit campaign %+v", c.App, c.Scheme, c.Level, c.Result, want)
+	miss := func(_ *Suite, cp *Checkpoint) (fault.Selector, error) { return cp.MissSelector() }
+	whole := func(_ *Suite, cp *Checkpoint) (fault.Selector, error) {
+		blocks := make([]arch.BlockAddr, cp.App.Mem.TotalBlocks())
+		for b := range blocks {
+			blocks[b] = arch.BlockAddr(b)
 		}
+		return fault.NewSetSelector(blocks)
 	}
-
-	bcfg := BreakdownConfig{Runs: runs, Batch: batch, Apps: []string{"P-MVT"},
-		Models: []fault.Model{fault.StuckAt{BitsPerWord: 3, Blocks: 1}, fault.Transient{Flips: 2, Blocks: 1}}}
-	bs, err := FaultModelBreakdown(serial, bcfg)
-	if err != nil {
-		t.Fatal(err)
+	specs := []struct {
+		what       string
+		app        string
+		scheme     core.Scheme
+		level      int
+		sel        func(*Suite, *Checkpoint) (fault.Selector, error)
+		model      fault.Model
+		seed       int64
+		start, end int
+	}{
+		{"fig6 hot", "P-BICG", core.None, 0, space("hot"), stuck2, 7, 0, runs},
+		{"fig6 rest", "P-BICG", core.None, 0, space("rest"), stuck4, 7, 0, runs},
+		{"fig9 detection", "P-BICG", core.Detection, 1, miss, stuck4, 11, 0, runs},
+		{"fig9 correction", "P-BICG", core.Correction, 1, miss, stuck4, 11, 0, runs},
+		{"breakdown stuck-at", "P-MVT", core.None, 0, whole, fault.StuckAt{BitsPerWord: 3, Blocks: 1}, 13, 0, runs},
+		{"breakdown transient", "P-MVT", core.Detection, 1, whole, fault.Transient{Flips: 2, Blocks: 1}, 13, 0, runs},
+		// [3, 37): five units, the first and last partial.
+		{"mid-claim range", "P-BICG", core.None, 0, space("hot"), stuck2, 19, 3, 37},
 	}
-	bp, err := FaultModelBreakdown(parallel, bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bs, bp) {
-		t.Error("breakdown: parallel multi-claim results differ from serial")
-	}
-	for i, c := range bs {
-		want := unsplitCampaign(t, serial, c.App, c.Scheme, c.Level, func(cp *Checkpoint) (fault.Selector, error) {
-			blocks := make([]arch.BlockAddr, cp.App.Mem.TotalBlocks())
-			for b := range blocks {
-				blocks[b] = arch.BlockAddr(b)
+	build := func(s *Suite) []campaignCell {
+		cells := make([]campaignCell, len(specs))
+		for i, sp := range specs {
+			cp, err := s.Checkpoint(sp.app, sp.scheme, sp.level)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return fault.NewSetSelector(blocks)
-		}, bcfg.Models[i%len(bcfg.Models)], runs, 13, batch)
-		if c.Result != want {
-			t.Errorf("breakdown %s %v L%d %s: merged units %+v, unsplit campaign %+v",
-				c.App, c.Scheme, c.Level, c.Model.Label, c.Result, want)
+			sel, err := sp.sel(s, cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.campaign(runs, sp.seed)
+			c.Batch = batch
+			cells[i] = campaignCell{cp: cp, model: sp.model, sel: sel, c: c,
+				start: sp.start, end: sp.end, what: sp.what}
+		}
+		return cells
+	}
+	cells := build(serial)
+	rs, err := serial.runCampaigns(context.Background(), "test: multi-claim", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := parallel.runCampaigns(context.Background(), "test: multi-claim", build(parallel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if rp[i] != rs[i] {
+			t.Errorf("%s: parallel merged units %+v differ from serial %+v", c.what, rp[i], rs[i])
+		}
+		want, err := c.cp.runRange(c.c, c.start, c.end, c.model, c.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[i] != want {
+			t.Errorf("%s: merged units %+v, unsplit range %+v", c.what, rs[i], want)
 		}
 	}
 
-	// A shard whose range [3, 37) starts and ends mid-claim: five units,
+	// A shard range [3, 137) at the default claim width of 64: three units,
 	// the first and last partial.
 	spec := fleet.CampaignSpec{App: "P-BICG", Scheme: "none", Space: "hot",
-		Model: "stuck-at:bits=2,blocks=1", Runs: runs, Seed: 19, Batch: batch}
-	sh := fleet.Shard{JobID: "multi-claim", Spec: spec, Start: 3, End: 37}
+		Model: "stuck-at:bits=2,blocks=1", Runs: 160, Seed: 19}
+	sh := fleet.Shard{JobID: "multi-claim", Spec: spec, Start: 3, End: 137}
 	cs, _, err := RunShard(context.Background(), serial, sh)
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +234,7 @@ func multiClaimParity(t *testing.T, serial, parallel *Suite) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cp.CampaignRange(fault.Campaign{Runs: runs, Seed: spec.Seed, Workers: 8, Batch: batch},
-		sh.Start, sh.End, fault.StuckAt{BitsPerWord: 2, Blocks: 1}, sel)
+	want, err := cp.runRange(serial.campaign(spec.Runs, spec.Seed), sh.Start, sh.End, stuck2, sel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -33,25 +34,12 @@ func (s *Suite) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// campaign builds a fault.Campaign with the suite's telemetry registry and
-// cancellation context, so every experiment's campaigns report live outcome
-// counters when the suite is observed and stop claiming runs once the
-// suite's context is cancelled. Workers is 1: runCampaigns splits campaigns
-// into batch-claim units on the suite pool, which is the only owner of
-// host parallelism. batch is the per-experiment override (0 falls back to
-// the suite-wide default, which itself defaults to fault.DefaultBatch).
-func (s *Suite) campaign(runs int, seed int64, batch int) fault.Campaign {
-	if batch == 0 {
-		batch = s.cfg.Batch
-	}
-	return fault.Campaign{Runs: runs, Seed: seed, Workers: 1,
-		Batch: batch, Metrics: s.cfg.Telemetry, Context: s.ctx}
-}
-
-// batchFor resolves the effective campaign batch size for a
-// per-experiment override — the value folded into result-store keys.
-func (s *Suite) batchFor(override int) int {
-	return s.campaign(1, 0, override).BatchSize()
+// campaign builds a fault.Campaign with the suite's telemetry registry, so
+// every experiment's campaigns report live outcome counters when the suite
+// is observed. Batch stays 0: every campaign claims fault.DefaultBatch runs
+// at a time, the bit-parallel sweep width.
+func (s *Suite) campaign(runs int, seed int64) fault.Campaign {
+	return fault.Campaign{Runs: runs, Seed: seed, Metrics: s.cfg.Telemetry}
 }
 
 // campaignCell is one campaign to run on the suite pool: the runs
@@ -68,12 +56,14 @@ type campaignCell struct {
 }
 
 // runCampaigns runs every cell on the suite pool and returns one merged
-// result per cell. Each cell is split into units of BatchSize() runs — the
-// same [lo, hi) claims fault.Campaign would make — and every unit is one
-// pool task running CampaignRange with one worker, so a cell's runs spread
-// over the whole pool instead of its configuration's task. Run i keeps its
-// (Seed, i) rng whatever unit executes it, so merging a cell's units with
-// fault.Result.Add reproduces the serial campaign byte for byte.
+// result per cell. It is the only way a campaign executes: each cell is
+// split into units of BatchSize() runs — the same [lo, hi) claims
+// fault.Campaign would make — and every unit is one pool task running the
+// checkpoint's serial runRange, so a cell's runs spread over the whole
+// pool. Run i keeps its (Seed, i) rng whatever unit executes it, so
+// merging a cell's units with fault.Result.Add reproduces the serial
+// campaign byte for byte. Cancelling ctx (or the suite's context) stops
+// the fan-out between units.
 //
 // Units start lowest index first, except that a worker skips units whose
 // checkpoint another worker is running. A batch claim holds one fork per
@@ -81,7 +71,7 @@ type campaignCell struct {
 // so two concurrent units on one checkpoint would double the forks each
 // checkpoint retains. Units of a busy checkpoint run only when nothing
 // else is pending.
-func (s *Suite) runCampaigns(phase string, cells []campaignCell) ([]fault.Result, error) {
+func (s *Suite) runCampaigns(ctx context.Context, phase string, cells []campaignCell) ([]fault.Result, error) {
 	type unit struct{ cell, lo, hi int }
 	var units []unit
 	for i, c := range cells {
@@ -120,10 +110,13 @@ func (s *Suite) runCampaigns(phase string, cells []campaignCell) ([]fault.Result
 	}
 	parts := make([]fault.Result, len(units))
 	err := s.runTasks(phase, len(units), func(int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		j := take()
 		u := units[j]
 		c := cells[u.cell]
-		res, err := c.cp.CampaignRange(c.c, u.lo, u.hi, c.model, c.sel)
+		res, err := c.cp.runRange(c.c, u.lo, u.hi, c.model, c.sel)
 		mu.Lock()
 		if busy[c.cp]--; busy[c.cp] == 0 {
 			delete(busy, c.cp)

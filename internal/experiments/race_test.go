@@ -10,7 +10,7 @@ import (
 )
 
 // TestCampaignRaceClean exercises the full clone→inject→run→classify path
-// with multiple workers under the race detector.
+// with one run per task on an 8-worker suite pool, under the race detector.
 func TestCampaignRaceClean(t *testing.T) {
 	s := testSuite(t)
 	app, plan, err := s.PlanFor("P-BICG", core.Detection, 2)
@@ -29,13 +29,16 @@ func TestCampaignRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := fault.Campaign{Runs: 24, Seed: 3, Workers: 8}
-	if _, err := c.Execute(func(_ int, rng *rand.Rand) (fault.Outcome, error) {
-		clone := app.Mem.Clone()
-		if _, err := fault.Inject(clone, rng, fault.StuckAt{BitsPerWord: 3, Blocks: 5}, sel, nil); err != nil {
-			return 0, err
-		}
-		return ClassifyRun(app, clone, plan, golden)
+	c := fault.Campaign{Runs: 24, Seed: 3}
+	if err := poolSuite(t, 8).runTasks("test: race", c.Runs, func(i int) error {
+		_, err := c.ExecuteRange(i, i+1, func(_ int, rng *rand.Rand) (fault.Outcome, error) {
+			clone := app.Mem.Clone()
+			if _, err := fault.Inject(clone, rng, fault.StuckAt{BitsPerWord: 3, Blocks: 5}, sel, nil); err != nil {
+				return 0, err
+			}
+			return ClassifyRun(app, clone, plan, golden)
+		})
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}

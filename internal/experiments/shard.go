@@ -31,9 +31,6 @@ func ValidateSpec(spec fleet.CampaignSpec) error {
 	if _, err := kernels.ByName(spec.App); err != nil {
 		return err
 	}
-	if spec.Batch < 0 {
-		return fmt.Errorf("experiments: campaign batch must be non-negative (0 = auto, 1 = unbatched), got %d", spec.Batch)
-	}
 	return nil
 }
 
@@ -81,7 +78,6 @@ func RunShard(ctx context.Context, s *Suite, shard fleet.Shard) (fleet.Counts, s
 		Field("model", fault.ModelKey(model)).
 		Field("runs", spec.Runs).
 		Field("campaignSeed", spec.Seed).
-		Field("batch", s.batchFor(spec.Batch)).
 		Field("range", fmt.Sprintf("%d-%d", shard.Start, shard.End)).
 		Key()
 	counts, err := store.Do(s.st, key, store.Options[fleet.Counts]{Persist: true},
@@ -94,10 +90,8 @@ func RunShard(ctx context.Context, s *Suite, shard fleet.Shard) (fleet.Counts, s
 			if err != nil {
 				return fleet.Counts{}, err
 			}
-			c := s.campaign(spec.Runs, spec.Seed, spec.Batch)
-			c.Context = ctx
-			res, err := s.runCampaigns("shard: campaign", []campaignCell{{
-				cp: cp, model: model, sel: sel, c: c,
+			res, err := s.runCampaigns(ctx, "shard: campaign", []campaignCell{{
+				cp: cp, model: model, sel: sel, c: s.campaign(spec.Runs, spec.Seed),
 				start: shard.Start, end: shard.End,
 				what: fmt.Sprintf("shard %s [%d, %d)", spec, shard.Start, shard.End),
 			}})

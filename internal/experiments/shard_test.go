@@ -31,7 +31,7 @@ func serialResult(t *testing.T, s *Suite, spec fleet.CampaignSpec) fault.Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp.Campaign(s.campaign(spec.Runs, spec.Seed, spec.Batch), model, sel)
+	res, err := cp.Campaign(s.campaign(spec.Runs, spec.Seed), model, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,6 @@ func TestValidateSpec(t *testing.T) {
 		{App: "P-BICG", Scheme: "none", Space: "lukewarm", Model: "burst"},
 		{App: "P-BICG", Scheme: "none", Space: "hot", Model: "no-such-model"},
 		{App: "X-Unknown", Scheme: "none", Space: "hot", Model: "burst"},
-		{App: "P-BICG", Scheme: "none", Space: "hot", Model: "burst", Batch: -8},
 	} {
 		if err := ValidateSpec(bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)
@@ -143,7 +142,8 @@ func TestValidateSpec(t *testing.T) {
 }
 
 // TestSuiteContextCancelsCampaigns: a cancelled suite context aborts
-// in-flight experiment work (the daemon's graceful-shutdown contract).
+// in-flight experiment work (the daemon's graceful-shutdown contract), and
+// a cancelled shard context aborts that shard's campaign.
 func TestSuiteContextCancelsCampaigns(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s, err := NewSuite(SuiteConfig{NNTrainSamples: 60, Context: ctx})
@@ -157,5 +157,15 @@ func TestSuiteContextCancelsCampaigns(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
+	}
+
+	// A shard's own context stops its campaign units too, with the suite
+	// still live.
+	_, _, err = RunShard(ctx, testSuite(t), fleet.Shard{JobID: "cancelled",
+		Spec: fleet.CampaignSpec{App: "P-BICG", Scheme: "none", Space: "hot",
+			Model: "stuck-at:bits=2,blocks=1", Runs: 50, Seed: 7},
+		End: 50})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunShard error = %v, want context.Canceled", err)
 	}
 }

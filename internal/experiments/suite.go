@@ -86,14 +86,6 @@ type SuiteConfig struct {
 	// GOMAXPROCS. Results are identical at any worker count; only
 	// wall-clock time changes.
 	Workers int
-	// Batch is the default campaign batch size: how many runs a campaign
-	// claim replays per functional pass (0 = auto, fault.DefaultBatch;
-	// 1 disables batching). Outcomes are byte-identical at any batch size —
-	// this is purely a performance control — but the effective batch is
-	// folded into campaign-result and shard store keys so differently
-	// batched artifacts never alias. Per-experiment configs (Fig6Config
-	// etc.) can override it per call.
-	Batch int
 	// Progress, when non-nil, receives a serialized stream of task
 	// completion events from every experiment fan-out (cmd/repro wires this
 	// to a stderr ETA reporter).
@@ -105,9 +97,8 @@ type SuiteConfig struct {
 	// are bit-identical with or without a registry attached.
 	Telemetry *telemetry.Registry
 	// Context, when non-nil, cancels in-flight experiment work: task
-	// fan-outs stop claiming new units and campaigns stop claiming new
-	// runs once it is done, and the aborted call returns the context's
-	// error. Control only — it is excluded from store keys and never
+	// fan-outs, campaigns included, stop claiming new units once it is
+	// done, and the aborted call returns the context's error. Control only — it is excluded from store keys and never
 	// changes a completed result. Nil means work always runs to
 	// completion (the pre-daemon behaviour).
 	Context context.Context

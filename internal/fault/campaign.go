@@ -1,11 +1,9 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
@@ -63,21 +61,19 @@ func Outcomes() []Outcome {
 
 // RunFunc executes one fault-injected run. Implementations clone the golden
 // memory image, inject faults with the provided rng, execute the
-// application functionally, and classify the output. It must be safe for
-// concurrent invocation.
+// application functionally, and classify the output.
 type RunFunc func(runIdx int, rng *rand.Rand) (Outcome, error)
 
 // BatchRunFunc executes a contiguous claim of runs [start, start+len(rngs))
 // in one call, returning exactly one Outcome per run in index order.
 // rngs[i] is the same (Seed, start+i)-derived stream RunFunc would receive
 // for the run, so a batched executor that consumes each rng only for its
-// own run's injection reproduces the per-run path bit-for-bit. It must be
-// safe for concurrent invocation.
+// own run's injection reproduces the per-run path bit-for-bit.
 type BatchRunFunc func(start int, rngs []*rand.Rand) ([]Outcome, error)
 
-// DefaultBatch is the auto batch size: one bit-parallel classification
-// sweep resolves up to 64 lanes (mem.BatchLanes), so claims default to
-// that width.
+// DefaultBatch is the claim width every experiment campaign runs at: one
+// bit-parallel classification sweep resolves up to 64 lanes
+// (mem.BatchLanes).
 const DefaultBatch = 64
 
 // Campaign executes many independent fault-injection runs.
@@ -86,16 +82,19 @@ type Campaign struct {
 	// with ±3% error margins).
 	Runs int
 	// Seed makes the campaign reproducible: run i uses an rng derived from
-	// (Seed, i), so results are independent of worker scheduling.
+	// (Seed, i), so results are independent of how the runs are split
+	// into claims or ranges.
 	Seed int64
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
+	// Workers is ignored: a campaign executes serially, and callers that
+	// want host parallelism run disjoint ranges on their own pool.
+	//
+	// Deprecated: kept only so existing callers compile; it has no effect.
 	Workers int
 	// Batch sets how many runs a batched executor claims and replays per
 	// functional pass: 0 picks DefaultBatch, 1 disables batching, larger
 	// values bound the claim size. Outcomes are independent of Batch (the
-	// per-run rng derivation never changes); it is purely a performance
-	// control, but it is folded into result-store keys so differently
-	// batched artifacts never alias.
+	// per-run rng derivation never changes), so it only sets the executor's
+	// claim grain.
 	Batch int
 	// Metrics, when non-nil, receives live outcome counters
 	// (dcrm_fault_runs_total{outcome=...}) and the run-granular
@@ -104,16 +103,6 @@ type Campaign struct {
 	// Observation only: attaching a registry does not change campaign
 	// results.
 	Metrics *telemetry.Registry
-	// Progress, when non-nil, is called as runs complete with the
-	// cumulative completed count and the executed range's total. It fires
-	// once per run — a batched claim of K runs reports K increments, not
-	// one — so ETA math stays accurate on the batched path. Calls are
-	// serialized under the campaign's lock.
-	Progress func(done, total int)
-	// Context, when non-nil, cancels the campaign between runs: once it is
-	// done no further runs start (in-flight runs finish) and Execute returns
-	// the context's error. Nil means the campaign always runs to completion.
-	Context context.Context
 }
 
 // BatchSize resolves the configured Batch (0 = DefaultBatch, minimum 1).
@@ -189,8 +178,8 @@ func (r Result) ConfidenceHalfWidth() float64 {
 	return 1.96 * math.Sqrt(p*(1-p)/float64(r.Runs))
 }
 
-// Execute runs the campaign, fanning runs across workers. The first run
-// error aborts the campaign.
+// Execute runs the campaign serially, lowest run index first. The first
+// run error aborts the campaign.
 func (c Campaign) Execute(run RunFunc) (Result, error) {
 	return c.ExecuteRange(0, c.Runs, run)
 }
@@ -230,12 +219,12 @@ func (c Campaign) ExecuteBatched(run BatchRunFunc) (Result, error) {
 	return c.ExecuteRangeBatched(0, c.Runs, run)
 }
 
-// ExecuteRangeBatched is ExecuteRange for a batched executor: workers claim
-// contiguous chunks of up to BatchSize() runs and hand each chunk to run in
-// one call. Chunk boundaries depend only on (start, end, BatchSize), never
-// on worker scheduling, and every run keeps its (Seed, index)-derived rng,
-// so results remain byte-identical across batch sizes and worker counts —
-// and mergeable with differently executed shards via Result.Add.
+// ExecuteRangeBatched is ExecuteRange for a batched executor: the range is
+// cut into contiguous claims of up to BatchSize() runs, each handed to run
+// in one call. Claim boundaries depend only on (start, end, BatchSize), and
+// every run keeps its (Seed, index)-derived rng, so results remain
+// byte-identical across batch sizes — and mergeable with differently
+// executed shards via Result.Add.
 func (c Campaign) ExecuteRangeBatched(start, end int, run BatchRunFunc) (Result, error) {
 	if run == nil {
 		return Result{}, fmt.Errorf("fault: nil batch run function")
@@ -243,57 +232,21 @@ func (c Campaign) ExecuteRangeBatched(start, end int, run BatchRunFunc) (Result,
 	return c.executeRange(start, end, c.BatchSize(), run)
 }
 
-// rngPool holds per-worker rng sets (*[]*rand.Rand) between executeRange
-// calls. Every rng is reseeded before use, so a pooled set carries no
-// state from one campaign into the next.
+// rngPool holds rng sets (*[]*rand.Rand) between executeRange calls.
+// Every rng is reseeded before use, so a pooled set carries no state from
+// one campaign into the next.
 var rngPool = sync.Pool{New: func() any { return new([]*rand.Rand) }}
 
-// executeRange is the shared chunk-claiming executor behind ExecuteRange
-// (batch 1) and ExecuteRangeBatched.
+// executeRange is the serial claim loop behind ExecuteRange (batch 1) and
+// ExecuteRangeBatched: it walks [start, end) in claims of batch runs,
+// lowest index first. Host parallelism belongs to the caller, which runs
+// disjoint ranges concurrently and merges them with Result.Add.
 func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result, error) {
 	if c.Runs <= 0 {
 		return Result{}, fmt.Errorf("fault: campaign needs a positive run count, got %d", c.Runs)
 	}
 	if start < 0 || end > c.Runs || start >= end {
 		return Result{}, fmt.Errorf("fault: shard range [%d, %d) outside campaign of %d runs", start, end, c.Runs)
-	}
-	n := end - start
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxClaims := (n + batch - 1) / batch; workers > maxClaims {
-		workers = maxClaims
-	}
-
-	// The workers' shared state lives in one struct, so a call pays one
-	// heap allocation for it rather than one per captured variable.
-	st := struct {
-		mu      sync.Mutex
-		res     Result
-		firstEr error
-		next    int
-		done    int
-		wg      sync.WaitGroup
-	}{res: Result{Runs: n}, next: start}
-	claim := func() (int, int, bool) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.firstEr == nil && c.Context != nil {
-			if err := c.Context.Err(); err != nil {
-				st.firstEr = err
-			}
-		}
-		if st.firstEr != nil || st.next >= end {
-			return 0, 0, false
-		}
-		lo := st.next
-		hi := lo + batch
-		if hi > end {
-			hi = end
-		}
-		st.next = hi
-		return lo, hi, true
 	}
 	var outcomes *telemetry.CounterVec
 	var runsTotal *telemetry.Counter
@@ -303,94 +256,55 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 		runsTotal = c.Metrics.Counter("dcrm_campaign_runs_total",
 			"Campaign runs completed — counted per run on both the batched and unbatched paths.")
 	}
-	// record tallies one completed run (or the error that aborted a claim).
-	// Progress and the run counters advance run-by-run even when the claim
-	// executed as one batch.
-	record := func(o Outcome, err error) {
-		if err == nil && o >= Masked && o <= DUE {
+
+	// The claim's rngs come from rngPool and are reseeded per claim:
+	// (*rand.Rand).Seed resets the source to the exact state a fresh
+	// rand.New(rand.NewSource(seed)) starts in, so reuse changes nothing
+	// about any run's stream while dropping the two allocations per run the
+	// fresh construction paid. Many short ranges (one claim each) reuse
+	// rngs across calls too.
+	rp := rngPool.Get().(*[]*rand.Rand)
+	defer rngPool.Put(rp)
+	res := Result{Runs: end - start}
+	for lo := start; lo < end; lo += batch {
+		hi := min(lo+batch, end)
+		for len(*rp) < hi-lo {
+			*rp = append(*rp, rand.New(rand.NewSource(0)))
+		}
+		rngs := (*rp)[:hi-lo]
+		for i, r := range rngs {
+			r.Seed(c.runSeed(lo + i))
+		}
+		os, err := run(lo, rngs)
+		if err != nil {
+			return Result{}, err
+		}
+		if len(os) != hi-lo {
+			return Result{}, fmt.Errorf("fault: batch run [%d, %d) returned %d outcomes, want %d",
+				lo, hi, len(os), hi-lo)
+		}
+		// The run counters advance run by run even when the claim
+		// executed as one batch.
+		for _, o := range os {
+			switch o {
+			case Masked:
+				res.MaskedRuns++
+			case SDC:
+				res.SDCRuns++
+			case Detected:
+				res.DetectedRuns++
+			case Crashed:
+				res.CrashedRuns++
+			case DUE:
+				res.DUERuns++
+			default:
+				return Result{}, fmt.Errorf("fault: run returned invalid outcome %d", int(o))
+			}
 			if outcomes != nil {
 				outcomes.With(o.String()).Inc()
-			}
-			if runsTotal != nil {
 				runsTotal.Inc()
 			}
 		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if err != nil {
-			if st.firstEr == nil {
-				st.firstEr = err
-			}
-			return
-		}
-		switch o {
-		case Masked:
-			st.res.MaskedRuns++
-		case SDC:
-			st.res.SDCRuns++
-		case Detected:
-			st.res.DetectedRuns++
-		case Crashed:
-			st.res.CrashedRuns++
-		case DUE:
-			st.res.DUERuns++
-		default:
-			if st.firstEr == nil {
-				st.firstEr = fmt.Errorf("fault: run returned invalid outcome %d", int(o))
-			}
-			return
-		}
-		st.done++
-		if c.Progress != nil {
-			c.Progress(st.done, n)
-		}
 	}
-
-	st.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			// Each worker borrows a set of batch rngs, reseeded per claim:
-			// (*rand.Rand).Seed resets the source to the exact state a fresh
-			// rand.New(rand.NewSource(seed)) starts in, so reuse changes
-			// nothing about any run's stream while dropping the two
-			// allocations per run the fresh construction paid. The set goes
-			// back to rngPool afterwards, so many short ranges (one batch
-			// claim each) reuse rngs across calls too.
-			rp := rngPool.Get().(*[]*rand.Rand)
-			rngs := *rp
-			for {
-				lo, hi, ok := claim()
-				if !ok {
-					*rp = rngs
-					rngPool.Put(rp)
-					st.wg.Done()
-					return
-				}
-				n := hi - lo
-				for len(rngs) < n {
-					rngs = append(rngs, rand.New(rand.NewSource(0)))
-				}
-				for i := 0; i < n; i++ {
-					rngs[i].Seed(c.runSeed(lo + i))
-				}
-				os, err := run(lo, rngs[:n])
-				if err == nil && len(os) != hi-lo {
-					err = fmt.Errorf("fault: batch run [%d, %d) returned %d outcomes, want %d",
-						lo, hi, len(os), hi-lo)
-				}
-				if err != nil {
-					record(0, err)
-					continue
-				}
-				for _, o := range os {
-					record(o, nil)
-				}
-			}
-		}()
-	}
-	st.wg.Wait()
-	if st.firstEr != nil {
-		return Result{}, st.firstEr
-	}
-	return st.res, nil
+	return res, nil
 }

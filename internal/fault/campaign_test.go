@@ -5,47 +5,6 @@ import (
 	"testing"
 )
 
-// TestProgressCountsRunsNotBatches: the Progress callback must advance
-// run by run even when the executor claims whole batches, so ETA math
-// built on it stays accurate on the batched path.
-func TestProgressCountsRunsNotBatches(t *testing.T) {
-	const runs = 20
-	var calls []int
-	c := Campaign{
-		Runs:    runs,
-		Seed:    7,
-		Workers: 1,
-		Batch:   8,
-		Progress: func(done, total int) {
-			if total != runs {
-				t.Errorf("Progress total = %d, want %d", total, runs)
-			}
-			calls = append(calls, done)
-		},
-	}
-	res, err := c.ExecuteBatched(func(start int, rngs []*rand.Rand) ([]Outcome, error) {
-		outs := make([]Outcome, len(rngs))
-		for i := range outs {
-			outs[i] = Masked
-		}
-		return outs, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaskedRuns != runs {
-		t.Fatalf("masked = %d, want %d", res.MaskedRuns, runs)
-	}
-	if len(calls) != runs {
-		t.Fatalf("Progress fired %d times, want once per run (%d)", len(calls), runs)
-	}
-	for i, done := range calls {
-		if done != i+1 {
-			t.Fatalf("Progress call %d reported done=%d, want %d", i, done, i+1)
-		}
-	}
-}
-
 // TestBatchSizeResolution pins the Batch knob's resolution: 0 is the
 // bit-parallel default, negatives clamp to unbatched.
 func TestBatchSizeResolution(t *testing.T) {
@@ -63,13 +22,13 @@ func TestBatchSizeResolution(t *testing.T) {
 }
 
 // TestBatchedChunkBoundaries: claims are contiguous [lo, hi) chunks of at
-// most BatchSize runs whose boundaries depend only on the range, never on
-// scheduling — the property that keeps batched shards mergeable.
+// most BatchSize runs whose boundaries depend only on the range and the
+// batch size — the property that keeps batched shards mergeable.
 func TestBatchedChunkBoundaries(t *testing.T) {
 	const runs = 23
 	seen := make(map[int]int) // run index -> claims covering it
 	var starts []int
-	c := Campaign{Runs: runs, Seed: 1, Workers: 1, Batch: 5}
+	c := Campaign{Runs: runs, Seed: 1, Batch: 5}
 	if _, err := c.ExecuteBatched(func(start int, rngs []*rand.Rand) ([]Outcome, error) {
 		if len(rngs) > 5 {
 			t.Errorf("claim [%d, %d) exceeds batch size 5", start, start+len(rngs))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -229,7 +228,7 @@ func TestInjectDeterministicPerSeed(t *testing.T) {
 }
 
 func TestCampaignCountsAndDeterminism(t *testing.T) {
-	c := Campaign{Runs: 200, Seed: 42, Workers: 8}
+	c := Campaign{Runs: 200, Seed: 42}
 	run := func(_ int, rng *rand.Rand) (Outcome, error) {
 		switch rng.Intn(4) {
 		case 0:
@@ -258,31 +257,11 @@ func TestCampaignCountsAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestCampaignParallelismInvariance(t *testing.T) {
-	run := func(_ int, rng *rand.Rand) (Outcome, error) {
-		if rng.Float64() < 0.3 {
-			return SDC, nil
-		}
-		return Masked, nil
-	}
-	serial, err := Campaign{Runs: 300, Seed: 7, Workers: 1}.Execute(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Campaign{Runs: 300, Seed: 7, Workers: 16}.Execute(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != parallel {
-		t.Errorf("results differ by worker count: %+v vs %+v", serial, parallel)
-	}
-}
-
 func TestCampaignErrorAborts(t *testing.T) {
 	wantErr := errors.New("boom")
-	var calls atomic.Int64
-	_, err := Campaign{Runs: 1000, Seed: 1, Workers: 4}.Execute(func(i int, _ *rand.Rand) (Outcome, error) {
-		calls.Add(1)
+	var calls int
+	_, err := Campaign{Runs: 1000, Seed: 1}.Execute(func(i int, _ *rand.Rand) (Outcome, error) {
+		calls++
 		if i == 10 {
 			return 0, wantErr
 		}
@@ -291,8 +270,8 @@ func TestCampaignErrorAborts(t *testing.T) {
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
-	if calls.Load() == 1000 {
-		t.Error("campaign did not abort early")
+	if calls != 11 {
+		t.Errorf("campaign executed %d runs, want 11 (runs 0..10, aborting at the error)", calls)
 	}
 }
 
@@ -340,7 +319,7 @@ func TestOutcomeString(t *testing.T) {
 // live outcome counter under the "due" label.
 func TestCampaignRecordsDUE(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	res, err := Campaign{Runs: 20, Seed: 3, Workers: 4, Metrics: reg}.Execute(
+	res, err := Campaign{Runs: 20, Seed: 3, Metrics: reg}.Execute(
 		func(i int, _ *rand.Rand) (Outcome, error) {
 			if i%4 == 0 {
 				return DUE, nil
@@ -389,12 +368,12 @@ func TestCampaignMetrics(t *testing.T) {
 			return Detected, nil
 		}
 	}
-	bare, err := Campaign{Runs: 30, Seed: 5, Workers: 4}.Execute(run)
+	bare, err := Campaign{Runs: 30, Seed: 5}.Execute(run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	inst, err := Campaign{Runs: 30, Seed: 5, Workers: 4, Metrics: reg}.Execute(run)
+	inst, err := Campaign{Runs: 30, Seed: 5, Metrics: reg}.Execute(run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,16 +47,21 @@ func (d *diskTier) read(hash string) (payload []byte, ok, corrupt bool) {
 		return nil, false, false
 	}
 	if len(raw) < diskHeaderLen || !bytes.Equal(raw[:8], diskMagic) {
-		os.Remove(d.path(hash))
+		d.drop(hash)
 		return nil, false, true
 	}
 	payload = raw[diskHeaderLen:]
 	sum := sha256.Sum256(payload)
 	if !bytes.Equal(raw[8:diskHeaderLen], sum[:]) {
-		os.Remove(d.path(hash))
+		d.drop(hash)
 		return nil, false, true
 	}
 	return payload, true, false
+}
+
+// drop deletes a corrupt entry, so it is read at most once.
+func (d *diskTier) drop(hash string) {
+	os.Remove(d.path(hash))
 }
 
 // write persists payload for hash atomically: temp file in the final

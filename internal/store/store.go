@@ -268,7 +268,8 @@ func typeMismatch[T any](key Key, got any) error {
 }
 
 // diskLoad reads and decodes a persisted entry; any corruption (including
-// a payload that no longer decodes as T) counts as a miss.
+// a payload that no longer decodes as T) counts as a miss and deletes the
+// entry.
 func diskLoad[T any](s *Store, key Key) (tv T, size int64, ok bool) {
 	payload, found, corrupt := s.disk.read(key.Hash())
 	if corrupt {
@@ -279,6 +280,7 @@ func diskLoad[T any](s *Store, key Key) (tv T, size int64, ok bool) {
 		return tv, 0, false
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&tv); err != nil {
+		s.disk.drop(key.Hash())
 		inc(s.diskCorrupt)
 		inc(s.diskMisses)
 		return tv, 0, false
